@@ -208,7 +208,7 @@ Result<ServiceMetrics> ServiceMetrics::Create(MetricsRegistry* registry,
       metrics.pir_preprocess_bytes_,
       registry->RegisterGauge(
           "tripriv_pir_preprocess_bytes",
-          "Bytes pinned by preprocessed PIR parity layouts",
+          "Bytes pinned by preprocessed dense PIR record layouts",
           {{"dimension", "user"}}));
   TRIPRIV_ASSIGN_OR_RETURN(
       metrics.pir_sessions_,

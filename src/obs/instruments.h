@@ -174,7 +174,7 @@ class ServiceMetrics {
           pir_corrupt_->Set(static_cast<double>(corrupt_answers));
           pir_queries_->Set(static_cast<double>(queries_answered));)
   /// Recursive-PIR transport series: query upload shipped, hypercube cells
-  /// expanded server-side, bytes pinned by preprocessed parity layouts,
+  /// expanded server-side, bytes pinned by preprocessed dense layouts,
   /// and live expansion sessions (all aggregates over allowlisted tenant
   /// classes — never per-principal).
   void PublishPirTransport(uint64_t upload_bits, uint64_t expanded_cells,

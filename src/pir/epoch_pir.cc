@@ -63,7 +63,7 @@ Result<EpochPirReader::Replicas*> EpochPirReader::ReplicasFor(
     built.a = std::make_unique<XorPirServer>(std::move(a));
   }
   if (options_.preprocess) {
-    // Per-epoch preprocessing: the parity layout is rendered alongside the
+    // Per-epoch preprocessing: the dense layout is rendered alongside the
     // replicas and evicted with them — the flip IS the invalidation.
     built.a->Preprocess();
     if (built.b != nullptr) built.b->Preprocess();

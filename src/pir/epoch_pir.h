@@ -54,8 +54,8 @@ struct EpochPirOptions {
   /// trades nothing but the per-replica trust split — which an in-process
   /// reader never had).
   size_t dimensions = 1;
-  /// Build the 64-byte-aligned parity layout (XorPirServer::Preprocess)
-  /// when an epoch's replicas are rendered. The layout lives and dies with
+  /// Build the dense record layout (XorPirServer::Preprocess) when an
+  /// epoch's replicas are rendered. The layout lives and dies with
   /// the cached epoch entry: the flip-driven eviction IS the invalidation.
   bool preprocess = false;
   /// Session key for recursive expansion scratch — an allowlisted tenant
@@ -93,7 +93,7 @@ class EpochPirReader {
   /// epochs older than the newest rendered one are invalidated at render
   /// time — the EpochManager flip hook.
   const PirSessionRegistry& sessions() const { return sessions_; }
-  /// Bytes currently held by preprocessed parity layouts across the cache.
+  /// Bytes currently held by preprocessed dense layouts across the cache.
   uint64_t preprocess_bytes() const;
 
  private:

@@ -1,5 +1,6 @@
 #include "pir/it_pir.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -19,6 +20,25 @@ void FlipGridCell(std::vector<uint8_t>* flat, size_t row, size_t col,
                   size_t cols, size_t n) {
   const size_t i = row * cols + col;
   if (i < n) FlipSelectionBit(flat, i);
+}
+
+/// Calls `fn(i)` for every set selection bit i in [begin, end), ascending.
+/// The bitmap is read 64 bits at a time (bytes past its end read as zero),
+/// so an all-zero selection word costs no calls.
+template <typename Fn>
+void ForEachSelected(const std::vector<uint8_t>& selection, size_t begin,
+                     size_t end, Fn&& fn) {
+  for (size_t w = begin / 64; 64 * w < end; ++w) {
+    uint64_t word = 0;
+    for (size_t k = 8 * w; k < std::min(8 * w + 8, selection.size()); ++k) {
+      word |= uint64_t{selection[k]} << (8 * (k - 8 * w));
+    }
+    if (64 * w < begin) word &= ~uint64_t{0} << (begin % 64);
+    if (64 * w + 64 > end) word &= ~uint64_t{0} >> (64 - end % 64);
+    for (; word != 0; word &= word - 1) {
+      fn(64 * w + static_cast<size_t>(std::countr_zero(word)));
+    }
+  }
 }
 
 /// Answers below this many XORed bytes stay serial: the fork/join handoff
@@ -100,79 +120,28 @@ const std::vector<uint8_t>& XorPirServer::last_observed_query() const {
 void XorPirServer::Preprocess() {
   if (preprocessed()) return;
   const size_t size = record_size();
-  const size_t pairs = (records_.size() + 1) / 2;
-  // Slots padded to whole cache lines so every slot starts 64-byte aligned.
-  parity_stride_ = (size + 63) / 64 * 64;
-  parity_ = AlignedWordBuffer(pairs * 3 * parity_stride_ / 8);
-  uint8_t* out = parity_.bytes();
-  for (size_t p = 0; p < pairs; ++p) {
-    const std::vector<uint8_t>& even = records_[2 * p];
-    uint8_t* even_slot = out + (3 * p) * parity_stride_;
-    uint8_t* odd_slot = even_slot + parity_stride_;
-    uint8_t* parity_slot = odd_slot + parity_stride_;
-    std::memcpy(even_slot, even.data(), size);
-    std::memcpy(parity_slot, even.data(), size);
-    if (2 * p + 1 < records_.size()) {
-      // A lone trailing record leaves its odd slot zero, so its parity slot
-      // degenerates to the record itself and the sweep stays uniform.
-      const std::vector<uint8_t>& odd = records_[2 * p + 1];
-      std::memcpy(odd_slot, odd.data(), size);
-      XorBytesInto(parity_slot, odd.data(), size);
-    }
-  }
-}
-
-void XorPirServer::AccumulateRecords(const std::vector<uint8_t>& selection,
-                                     size_t begin, size_t end,
-                                     uint8_t* acc) const {
-  const size_t size = record_size();
-  size_t i = begin;
-  while (i < end) {
-    if (i % 8 == 0 && i + 8 <= end && selection[i / 8] == 0) {
-      i += 8;  // skip a whole clear selection byte
-      continue;
-    }
-    if (GetBit(selection, i)) XorBytesInto(acc, records_[i].data(), size);
-    ++i;
+  stride_ = (size + 7) / 8 * 8;
+  dense_ = AlignedWordBuffer(records_.size() * stride_ / 8);
+  uint8_t* out = dense_.bytes();
+  for (const std::vector<uint8_t>& record : records_) {
+    std::memcpy(out, record.data(), size);
+    out += stride_;
   }
 }
 
 void XorPirServer::AccumulateRange(const std::vector<uint8_t>& selection,
                                    size_t begin, size_t end,
                                    uint8_t* acc) const {
-  if (!preprocessed()) {
-    AccumulateRecords(selection, begin, end, acc);
-    return;
-  }
-  // Parity sweep: two selection bits cost at most one aligned XOR. Shard
-  // boundaries may split a pair; the stray records on either side take the
-  // single-slot path, and XOR commutativity makes the merged bytes
-  // identical to the serial sweep regardless of the split.
   const size_t size = record_size();
-  size_t i = begin;
-  if (i < end && i % 2 == 1) {
-    if (GetBit(selection, i)) {
-      XorBytesInto(acc, ParitySlot(3 * (i / 2) + 1), size);
-    }
-    ++i;
-  }
-  for (; i + 2 <= end; i += 2) {
-    if (i % 8 == 0 && i + 8 <= end && selection[i / 8] == 0) {
-      i += 6;  // skip a whole clear selection byte (loop adds the other 2)
-      continue;
-    }
-    const bool even = GetBit(selection, i);
-    const bool odd = GetBit(selection, i + 1);
-    if (even && odd) {
-      XorBytesInto(acc, ParitySlot(3 * (i / 2) + 2), size);
-    } else if (even) {
-      XorBytesInto(acc, ParitySlot(3 * (i / 2)), size);
-    } else if (odd) {
-      XorBytesInto(acc, ParitySlot(3 * (i / 2) + 1), size);
-    }
-  }
-  if (i < end && GetBit(selection, i)) {
-    XorBytesInto(acc, ParitySlot(3 * (i / 2)), size);
+  if (preprocessed()) {
+    const uint8_t* dense = dense_.bytes();
+    ForEachSelected(selection, begin, end, [&](size_t i) {
+      XorBytesInto(acc, dense + i * stride_, size);
+    });
+  } else {
+    ForEachSelected(selection, begin, end, [&](size_t i) {
+      XorBytesInto(acc, records_[i].data(), size);
+    });
   }
 }
 

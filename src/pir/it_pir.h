@@ -14,10 +14,10 @@
 // word-wide XOR kernel (pir/xor_kernel.h), optionally sharded across a
 // ThreadPool with per-shard partial accumulators merged in fixed shard
 // order, so the answer is bit-identical at any thread count. Preprocess()
-// builds a 64-byte-aligned pair-parity layout (the XOR analog of SealPIR's
-// preprocess_ntt) that the sweep streams instead of per-record vectors;
-// pir/recursive_pir.h generalizes the 4-server cube below to d dimensions
-// with seed-compressed queries. Batched reads
+// copies the records into one dense, word-strided buffer (the XOR analog of
+// SealPIR's preprocess_ntt) that the sweep streams instead of chasing
+// per-record vectors; pir/recursive_pir.h generalizes the 4-server cube
+// below to d dimensions with seed-compressed queries. Batched reads
 // (TwoServerPirBatchRead) draw all query randomness serially in index
 // order, then fan the answer computation out across the pool — the whole
 // transcript is a pure function of the seed and the batch.
@@ -79,19 +79,19 @@ class XorPirServer {
       const std::vector<uint8_t>& selection, ThreadPool* pool = nullptr) const;
 
   /// One-time per-epoch preprocessing — the XOR analog of SealPIR's
-  /// preprocess_ntt. Copies the records into a 64-byte-aligned, word-padded
-  /// parity layout: each pair of adjacent records occupies three aligned
-  /// slots [even, odd, even^odd], so the hot sweep answers two selection
-  /// bits with at most ONE aligned XOR (instead of an expected one and a
-  /// worst-case two) and streams contiguous memory instead of chasing
-  /// per-record heap pointers. Answers are byte-identical with or without
-  /// the layout (XOR algebra — only the sweep changes), and bytes_xored()
-  /// accounting is untouched because it is derived from the observed
-  /// selection, not from the sweep. Idempotent; costs 1.5x the database.
+  /// preprocess_ntt. Copies the records into one dense 64-byte-aligned
+  /// buffer: record i sits at byte i * stride, stride being record_size()
+  /// rounded up to 8, with zero padding. The sweep then streams contiguous
+  /// memory instead of chasing per-record heap pointers; it is bound by
+  /// memory traffic, so the layout stores each record once and nothing
+  /// else. Answers are byte-identical with or without it (only record
+  /// addresses change), and bytes_xored() is derived from the observed
+  /// selection, not from the sweep. Idempotent; costs one database copy.
   void Preprocess();
-  bool preprocessed() const { return !parity_.empty(); }
-  /// Bytes held by the preprocessed layout (0 before Preprocess).
-  uint64_t preprocess_bytes() const { return parity_.size_bytes(); }
+  bool preprocessed() const { return !dense_.empty(); }
+  /// Bytes held by the preprocessed layout: num_records() * stride (0
+  /// before Preprocess).
+  uint64_t preprocess_bytes() const { return dense_.size_bytes(); }
 
   /// Injected adversity for error-path tests: once armed with a non-OK
   /// status, every ComputeAnswer (and therefore Answer) call fails with it
@@ -137,23 +137,16 @@ class XorPirServer {
 
  private:
   /// XORs the records selected in [begin, end) into `acc` (record_size()
-  /// bytes), skipping 8 records at a time across clear selection bytes.
-  /// Sweeps the parity layout when Preprocess has built it.
+  /// bytes): one walk over the set bits, 64 selection bits per word, read
+  /// from the dense layout when Preprocess has built it.
   void AccumulateRange(const std::vector<uint8_t>& selection, size_t begin,
                        size_t end, uint8_t* acc) const;
-  /// The plain per-record sweep (no layout).
-  void AccumulateRecords(const std::vector<uint8_t>& selection, size_t begin,
-                         size_t end, uint8_t* acc) const;
-  /// Slot `slot` of the parity layout (3 slots per record pair).
-  const uint8_t* ParitySlot(size_t slot) const {
-    return parity_.bytes() + slot * parity_stride_;
-  }
 
   std::vector<std::vector<uint8_t>> records_;
-  /// Preprocessed parity layout (see Preprocess): ceil(n/2) pair groups of
-  /// three 64-byte-aligned slots each, parity_stride_ bytes per slot.
-  AlignedWordBuffer parity_;
-  size_t parity_stride_ = 0;
+  /// Preprocessed dense layout (see Preprocess): record i at byte
+  /// i * stride_, zero-padded to stride_ (a multiple of 8).
+  AlignedWordBuffer dense_;
+  size_t stride_ = 0;
   Status compute_fault_;  ///< injected ComputeAnswer failure (OK = disarmed)
   uint64_t queries_answered_ = 0;
   uint64_t bytes_xored_ = 0;

@@ -36,9 +36,14 @@ std::vector<size_t> Strides(const HypercubeGeometry& g) {
 /// Depth-first walk of the product of per-axis set-coordinate lists,
 /// emitting each selected cell below n. Coordinate lists are ascending and
 /// deeper axes only add to the cell index, so a cell >= n prunes the rest
-/// of its axis level — overhang cells are never even visited.
+/// of its axis level — overhang cells are never even visited. A selected
+/// innermost row that lies wholly below n is the innermost axis bitmap
+/// itself, so it is ORed in at bit offset `base` a byte at a time; only a
+/// last row that overhangs n goes cell by cell.
 struct ProductExpander {
   const std::vector<std::vector<size_t>>& set;
+  const std::vector<uint8_t>& row;  ///< innermost axis bitmap, padding zero
+  size_t side;
   const std::vector<size_t>& stride;
   size_t n;
   std::vector<uint8_t>* flat;
@@ -46,6 +51,11 @@ struct ProductExpander {
 
   void Walk(size_t axis, size_t base) {
     if (axis + 1 == set.size()) {
+      if (base + side <= n) {
+        OrRow(base);
+        emitted += set[axis].size();
+        return;
+      }
       for (size_t c : set[axis]) {  // innermost stride is 1
         const size_t cell = base + c;
         if (cell >= n) break;
@@ -58,6 +68,18 @@ struct ProductExpander {
       const size_t cell = base + c * stride[axis];
       if (cell >= n) break;
       Walk(axis + 1, cell);
+    }
+  }
+
+  /// flat |= row << base. A carry byte is written only when it holds a
+  /// bit, and every bit lands below base + side <= n, inside `flat`.
+  void OrRow(size_t base) {
+    uint8_t* out = flat->data() + base / 8;
+    const unsigned shift = base % 8;
+    for (size_t k = 0; k < row.size(); ++k) {
+      out[k] |= static_cast<uint8_t>(row[k] << shift);
+      const uint8_t carry = static_cast<uint8_t>(row[k] >> (8 - shift));
+      if (carry != 0) out[k + 1] |= carry;
     }
   }
 };
@@ -117,9 +139,15 @@ uint64_t ExpandProductSelection(
       if (GetBit(axis_bits[k], c)) set[k].push_back(c);
     }
   }
+  // The innermost bitmap with its padding bits cleared, so a whole-row OR
+  // sets exactly the cells of set[d - 1].
+  std::vector<uint8_t> row = axis_bits[g.d - 1];
+  if (g.side % 8 != 0) {
+    row.back() &= static_cast<uint8_t>((1u << (g.side % 8)) - 1u);
+  }
   flat->assign((g.n + 7) / 8, 0);
   const std::vector<size_t> stride = Strides(g);
-  ProductExpander expander{set, stride, g.n, flat};
+  ProductExpander expander{set, row, g.side, stride, g.n, flat};
   expander.Walk(0, 0);
   return expander.emitted;
 }

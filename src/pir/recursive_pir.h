@@ -108,8 +108,8 @@ std::vector<std::vector<uint8_t>> ExpandAxisSelections(
 /// of cell i set. Padding bits are zero and overhang cells (>= n) are
 /// skipped, so the result is exactly what XorPirServer observation and
 /// popcount accounting expect. Writes into `*flat` (resized; reusable
-/// session scratch). Returns the number of hypercube cells visited — the
-/// expansion work metric.
+/// session scratch). Returns the number of cells selected — the expansion
+/// work metric.
 TRIPRIV_SENSITIVE(record)
 uint64_t ExpandProductSelection(
     const std::vector<std::vector<uint8_t>>& axis_bits,

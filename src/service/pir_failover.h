@@ -62,7 +62,7 @@ class FailoverPirClient {
 
   /// Like Build, but each failover group runs the recursive d-dimensional
   /// scheme across 2^d replicas (d = 1 is exactly the flat pair path).
-  /// `preprocess` renders the per-replica parity layout at build time.
+  /// `preprocess` renders the per-replica dense layout at build time.
   /// Requires num_groups >= 1 and d in [1, 8].
   static Result<FailoverPirClient> BuildRecursive(
       const std::vector<std::vector<uint8_t>>& records, size_t num_groups,
@@ -108,7 +108,7 @@ class FailoverPirClient {
   const HypercubeGeometry& geometry() const { return geometry_; }
   /// Per-tenant-class recursive expansion sessions (empty in flat mode).
   const PirSessionRegistry& sessions() const { return sessions_; }
-  /// Bytes held by preprocessed parity layouts across all replicas.
+  /// Bytes held by preprocessed dense layouts across all replicas.
   uint64_t preprocess_bytes() const {
     uint64_t total = 0;
     for (const XorPirServer& server : servers_) {

@@ -1,6 +1,7 @@
 // Recursive d-dimensional PIR: geometry, seed expansion, retrieval,
 // sublinear upload, canonical flat transcripts (padding and overhang),
-// preprocessing equivalence, session reuse, epoch invalidation, and the
+// row-wise product expansion against a per-cell reference, preprocessing
+// equivalence, session reuse, epoch invalidation, and the
 // thread-count invariance contract (this file carries the parallel label —
 // the TSan leg's payload for `ctest -L pir`).
 
@@ -201,6 +202,81 @@ TEST(RecursivePirTest, FlatExpansionIsCanonicalAcrossPaddingAndOverhang) {
   EXPECT_EQ(total_xored, selected_bits * 8u);
 }
 
+/// Cell-by-cell reference for ExpandProductSelection: bit i set iff every
+/// axis bitmap selects coordinate k of cell i. Returns the set-cell count.
+uint64_t ReferenceProduct(const std::vector<std::vector<uint8_t>>& axes,
+                          const HypercubeGeometry& g,
+                          std::vector<uint8_t>* flat) {
+  flat->assign((g.n + 7) / 8, 0);
+  uint64_t cells = 0;
+  for (size_t i = 0; i < g.n; ++i) {
+    const auto coords = g.Coordinates(i);
+    bool selected = true;
+    for (size_t k = 0; k < g.d; ++k) selected &= GetBit(axes[k], coords[k]);
+    if (!selected) continue;
+    FlipSelectionBit(flat, i);
+    ++cells;
+  }
+  return cells;
+}
+
+TEST(RecursivePirTest, RowWiseExpansionMatchesPerCellReference) {
+  // Whole innermost rows are ORed in at arbitrary bit offsets; only a last
+  // row overhanging n goes cell by cell. Sides with and without a partial
+  // axis byte, n = side^d (no overhang) and n = side^d - side + 3 (the
+  // last row overhangs), and axes that are random, all-one, all-zero, or
+  // carry stray padding bits the expansion must ignore.
+  struct Case {
+    size_t d, side;
+  };
+  for (const Case& c : std::initializer_list<Case>{{1, 8},
+                                                   {1, 13},
+                                                   {2, 8},
+                                                   {2, 6},
+                                                   {2, 13},
+                                                   {2, 16},
+                                                   {3, 8},
+                                                   {3, 5},
+                                                   {3, 9},
+                                                   {4, 8},
+                                                   {4, 6},
+                                                   {4, 5}}) {
+    size_t cube = 1;
+    for (size_t k = 0; k < c.d; ++k) cube *= c.side;
+    for (size_t n : {cube, cube - c.side + 3}) {
+      HypercubeGeometry g;
+      g.n = n;
+      g.side = c.side;
+      g.d = c.d;
+      const size_t bytes = (c.side + 7) / 8;
+      std::vector<std::vector<std::vector<uint8_t>>> axis_sets;
+      for (uint64_t seed : {1u, 2u, 3u}) {
+        axis_sets.push_back(ExpandAxisSelections(seed, g));
+      }
+      std::vector<std::vector<uint8_t>> ones(c.d,
+                                             std::vector<uint8_t>(bytes, 0));
+      for (auto& axis : ones) {
+        for (size_t i = 0; i < c.side; ++i) FlipSelectionBit(&axis, i);
+      }
+      axis_sets.push_back(ones);
+      axis_sets.emplace_back(c.d, std::vector<uint8_t>(bytes, 0));
+      auto padded = ExpandAxisSelections(4, g);
+      for (auto& axis : padded) axis.back() |= 0x80;
+      axis_sets.push_back(padded);
+      for (size_t a = 0; a < axis_sets.size(); ++a) {
+        std::vector<uint8_t> expected;
+        const uint64_t want = ReferenceProduct(axis_sets[a], g, &expected);
+        std::vector<uint8_t> flat(3, 0xFF);  // stale scratch is overwritten
+        const uint64_t got = ExpandProductSelection(axis_sets[a], g, &flat);
+        EXPECT_EQ(flat, expected)
+            << "d=" << c.d << " side=" << c.side << " n=" << n << " axes=" << a;
+        EXPECT_EQ(got, want)
+            << "d=" << c.d << " side=" << c.side << " n=" << n << " axes=" << a;
+      }
+    }
+  }
+}
+
 TEST(RecursivePirTest, RejectsNonCanonicalAxisPadding) {
   auto records = MakeRecords(30, 8);
   auto g = HypercubeGeometry::Balanced(records.size(), 2);
@@ -218,7 +294,7 @@ TEST(RecursivePirTest, RejectsNonCanonicalAxisPadding) {
 }
 
 TEST(RecursivePirTest, PreprocessedAnswersAreByteIdentical) {
-  // The parity layout changes the sweep, never the bytes: every index, odd
+  // The dense layout changes the sweep, never the bytes: every index, odd
   // and even record counts, plain vs preprocessed, with and without a pool.
   for (size_t n : {29u, 30u, 31u}) {
     auto records = MakeRecords(n, 24);
