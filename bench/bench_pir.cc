@@ -1,8 +1,8 @@
 // Ablation D: PIR cost — what user privacy charges per query.
 //
 // google-benchmark microbenchmarks of the user-privacy substrate:
-//   * 2-server XOR PIR and 4-server cube PIR vs database size (the cube
-//     scheme trades servers for O(sqrt n) upload);
+//   * XOR PIR vs database size at d = 1 (the 2-server scheme) and d = 2
+//     (the 4-server cube, which trades servers for O(sqrt n) upload);
 //   * single-server computational PIR (Paillier) vs database size;
 //   * the plaintext baseline (no user privacy);
 //   * private aggregate COUNT (the Section 3 query) vs grid size.
@@ -13,6 +13,7 @@
 #include "pir/aggregate.h"
 #include "pir/cpir.h"
 #include "pir/it_pir.h"
+#include "pir/recursive_pir.h"
 #include "table/datasets.h"
 
 namespace tripriv {
@@ -40,41 +41,32 @@ void BM_PlaintextRead(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaintextRead)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
-void BM_TwoServerPir(benchmark::State& state) {
+/// XOR PIR through the one read driver: d = 1 is the 2-server scheme
+/// (64 + n bits up), d = 2 the 4-server cube (64 + 3 * 2 * sqrt(n)).
+void BM_RecursivePir(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const size_t d = static_cast<size_t>(state.range(1));
   auto records = MakeRecords(n, 64);
-  auto a = XorPirServer::Create(records);
-  auto b = XorPirServer::Create(records);
+  auto g = HypercubeGeometry::Balanced(n, d);
+  std::vector<XorPirServer> servers;
+  for (size_t s = 0; s < g->num_servers(); ++s) {
+    servers.push_back(*XorPirServer::Create(records));
+  }
+  std::vector<XorPirServer*> ptrs;
+  for (auto& server : servers) ptrs.push_back(&server);
   Rng rng(9);
   PirStats stats;
   for (auto _ : state) {
     const size_t idx = static_cast<size_t>(rng.UniformU64(n));
     stats.Reset();  // PirStats accumulates; keep the counter per-query
-    auto got = TwoServerPirRead(&*a, &*b, idx, &rng, &stats);
+    auto got = RecursivePirRead(ptrs, *g, idx, &rng, nullptr, &stats);
     benchmark::DoNotOptimize(got);
   }
   state.counters["upload_bits"] = static_cast<double>(stats.upload_bits);
 }
-BENCHMARK(BM_TwoServerPir)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_FourServerCubePir(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto records = MakeRecords(n, 64);
-  std::vector<XorPirServer> servers;
-  for (int i = 0; i < 4; ++i) servers.push_back(*XorPirServer::Create(records));
-  std::array<XorPirServer*, 4> ptrs{&servers[0], &servers[1], &servers[2],
-                                    &servers[3]};
-  Rng rng(11);
-  PirStats stats;
-  for (auto _ : state) {
-    const size_t idx = static_cast<size_t>(rng.UniformU64(n));
-    stats.Reset();  // PirStats accumulates; keep the counter per-query
-    auto got = FourServerCubePirRead(ptrs, idx, &rng, &stats);
-    benchmark::DoNotOptimize(got);
-  }
-  state.counters["upload_bits"] = static_cast<double>(stats.upload_bits);
-}
-BENCHMARK(BM_FourServerCubePir)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_RecursivePir)
+    ->ArgsProduct({{256, 1024, 4096, 16384}, {1, 2}})
+    ->ArgNames({"n", "d"});
 
 void BM_ComputationalPir(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

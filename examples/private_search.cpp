@@ -6,7 +6,7 @@
 // A medical registry serves queries. Users do not want the registry to
 // learn what they search for (the paper's AOL-scandal motivation). This
 // example exercises the whole user-privacy stack:
-//   * 2-server XOR PIR record retrieval,
+//   * 2-server XOR PIR record retrieval (the d = 1 hypercube scheme),
 //   * keyword PIR lookup by patient id,
 //   * single-server computational PIR,
 //   * private aggregate COUNT/AVG queries — first reproducing the
@@ -19,6 +19,7 @@
 #include "pir/cpir.h"
 #include "pir/it_pir.h"
 #include "pir/keyword_pir.h"
+#include "pir/recursive_pir.h"
 #include "sdc/microaggregation.h"
 #include "table/datasets.h"
 
@@ -41,9 +42,11 @@ int main() {
   }
   auto server_a = XorPirServer::Create(records);
   auto server_b = XorPirServer::Create(records);
-  if (!server_a.ok() || !server_b.ok()) return 1;
+  auto geometry = HypercubeGeometry::Balanced(records.size(), 1);
+  if (!server_a.ok() || !server_b.ok() || !geometry.ok()) return 1;
   PirStats stats;
-  auto record = TwoServerPirRead(&*server_a, &*server_b, 17, &rng, &stats);
+  auto record = RecursivePirRead({&*server_a, &*server_b}, *geometry, 17, &rng,
+                                 /*pool=*/nullptr, &stats);
   if (!record.ok()) return 1;
   std::printf("retrieved record 17: %s\n",
               std::string(record->begin(), record->end()).c_str());
@@ -59,6 +62,7 @@ int main() {
   }
   auto store = KeywordPirStore::Create(index);
   if (!store.ok()) return 1;
+  stats.Reset();  // PirStats accumulates; count the lookup on its own
   auto pos = store->Lookup(1051, &rng, &stats);
   if (!pos.ok()) return 1;
   if (pos->has_value()) {

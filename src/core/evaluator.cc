@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "pir/it_pir.h"
+#include "pir/recursive_pir.h"
 #include "ppdm/randomized_response.h"
 #include "querydb/protection.h"
 #include "sdc/condensation.h"
@@ -245,10 +246,11 @@ Result<std::pair<double, double>> PrivacyEvaluator::CryptoScores(
 
 Result<double> PrivacyEvaluator::UserScoreWithPir(const DataTable& release,
                                                   uint64_t seed) const {
-  // The user retrieves random records through 2-server XOR PIR; server A
-  // (the curious owner) guesses the retrieved index from its view (the
-  // selection bitmap). With the subset scheme a single server's view is
-  // independent of the target, so any strategy degenerates to guessing.
+  // The user retrieves random records through 2-server XOR PIR (the d = 1
+  // hypercube scheme); server A (the curious owner) guesses the retrieved
+  // index from its view (the selection bitmap). With the subset scheme a
+  // single server's view is independent of the target, so any strategy
+  // degenerates to guessing.
   const size_t n = release.num_rows();
   if (n == 0) return Status::InvalidArgument("empty release");
   constexpr size_t kRecordBytes = 64;
@@ -259,8 +261,11 @@ Result<double> PrivacyEvaluator::UserScoreWithPir(const DataTable& release,
   }
   TRIPRIV_ASSIGN_OR_RETURN(auto server_a, XorPirServer::Create(records));
   TRIPRIV_ASSIGN_OR_RETURN(auto server_b, XorPirServer::Create(std::move(records)));
+  TRIPRIV_ASSIGN_OR_RETURN(const HypercubeGeometry geometry,
+                           HypercubeGeometry::Balanced(n, 1));
+  const std::vector<XorPirServer*> servers{&server_a, &server_b};
   // Attack-analysis mode: the owner's guessing strategy below inspects the
-  // last selection bitmap server A saw.
+  // last selection bitmap server A saw (expanded from its seed).
   server_a.EnableObservationLog(1);
 
   Rng user_rng(seed);
@@ -269,7 +274,7 @@ Result<double> PrivacyEvaluator::UserScoreWithPir(const DataTable& release,
   for (size_t trial = 0; trial < options_.pir_trials; ++trial) {
     const size_t secret = static_cast<size_t>(user_rng.UniformU64(n));
     TRIPRIV_RETURN_IF_ERROR(
-        TwoServerPirRead(&server_a, &server_b, secret, &user_rng).status());
+        RecursivePirRead(servers, geometry, secret, &user_rng).status());
     // Owner strategy: pick a uniformly random set bit of the bitmap it saw
     // (the bitmap is uniform, so no strategy does better than chance).
     const auto& view = server_a.last_observed_query();

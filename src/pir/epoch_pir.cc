@@ -31,8 +31,7 @@ std::string RecordToString(const std::vector<uint8_t>& record) {
 uint64_t EpochPirReader::preprocess_bytes() const {
   uint64_t total = 0;
   for (const Replicas& entry : cache_) {
-    if (entry.a != nullptr) total += entry.a->preprocess_bytes();
-    if (entry.b != nullptr) total += entry.b->preprocess_bytes();
+    total += entry.replica->preprocess_bytes();
   }
   return total;
 }
@@ -46,32 +45,23 @@ Result<EpochPirReader::Replicas*> EpochPirReader::ReplicasFor(
   auto records = SnapshotRecords(pinned->protected_table);
   Replicas built;
   built.epoch = epoch;
-  if (options_.dimensions <= 1) {
-    TRIPRIV_ASSIGN_OR_RETURN(XorPirServer a, XorPirServer::Create(records));
-    TRIPRIV_ASSIGN_OR_RETURN(XorPirServer b,
-                             XorPirServer::Create(std::move(records)));
-    built.a = std::make_unique<XorPirServer>(std::move(a));
-    built.b = std::make_unique<XorPirServer>(std::move(b));
-  } else {
-    // Recursive mode: one replica, aliased 2^d times at read time, plus
-    // the epoch's hypercube geometry (the row count may change per epoch).
-    TRIPRIV_ASSIGN_OR_RETURN(
-        built.geometry,
-        HypercubeGeometry::Balanced(records.size(), options_.dimensions));
-    TRIPRIV_ASSIGN_OR_RETURN(XorPirServer a,
-                             XorPirServer::Create(std::move(records)));
-    built.a = std::make_unique<XorPirServer>(std::move(a));
-  }
+  // One replica, aliased 2^d times at read time, plus the epoch's
+  // hypercube geometry (the row count may change per epoch).
+  TRIPRIV_ASSIGN_OR_RETURN(
+      built.geometry,
+      HypercubeGeometry::Balanced(records.size(), options_.dimensions));
+  TRIPRIV_ASSIGN_OR_RETURN(XorPirServer replica,
+                           XorPirServer::Create(std::move(records)));
+  built.replica = std::make_unique<XorPirServer>(std::move(replica));
   if (options_.preprocess) {
     // Per-epoch preprocessing: the dense layout is rendered alongside the
-    // replicas and evicted with them — the flip IS the invalidation.
-    built.a->Preprocess();
-    if (built.b != nullptr) built.b->Preprocess();
+    // replica and evicted with it — the flip IS the invalidation.
+    built.replica->Preprocess();
   }
   // A newly rendered epoch means any session scratch sized for an older
   // epoch's table is stale: drop it before the first read of this epoch.
   sessions_.InvalidateBefore(epoch);
-  // At most two cached pairs — the manager's live-epoch bound. Oldest out.
+  // At most two cached epochs — the manager's live-epoch bound. Oldest out.
   if (cache_.size() >= 2) cache_.erase(cache_.begin());
   cache_.push_back(std::move(built));
   ++replica_builds_;
@@ -82,14 +72,10 @@ Result<std::vector<uint8_t>> EpochPirReader::Read(size_t index, Rng* rng) {
   PinnedEpoch pinned = manager_->Pin();
   TRIPRIV_ASSIGN_OR_RETURN(Replicas * replicas, ReplicasFor(pinned));
   last_served_epoch_ = pinned->epoch;
-  if (options_.dimensions <= 1) {
-    return TwoServerPirRead(replicas->a.get(), replicas->b.get(), index, rng,
-                            &stats_);
-  }
   PirSessionRegistry::Session* session = sessions_.Establish(
       options_.tenant_class, replicas->geometry, replicas->epoch);
   const std::vector<XorPirServer*> servers(replicas->geometry.num_servers(),
-                                           replicas->a.get());
+                                           replicas->replica.get());
   return RecursivePirRead(servers, replicas->geometry, index, rng,
                           /*pool=*/nullptr, &stats_, session);
 }
@@ -101,14 +87,10 @@ Result<std::vector<std::vector<uint8_t>>> EpochPirReader::ReadBatch(
   PinnedEpoch pinned = manager_->Pin();
   TRIPRIV_ASSIGN_OR_RETURN(Replicas * replicas, ReplicasFor(pinned));
   last_served_epoch_ = pinned->epoch;
-  if (options_.dimensions <= 1) {
-    return TwoServerPirBatchRead(replicas->a.get(), replicas->b.get(), indices,
-                                 rng, pool, &stats_);
-  }
   PirSessionRegistry::Session* session = sessions_.Establish(
       options_.tenant_class, replicas->geometry, replicas->epoch);
   const std::vector<XorPirServer*> servers(replicas->geometry.num_servers(),
-                                           replicas->a.get());
+                                           replicas->replica.get());
   return RecursivePirBatchRead(servers, replicas->geometry, indices, rng, pool,
                                &stats_, session);
 }

@@ -3,12 +3,11 @@
 // The PIR servers of pir/it_pir.h answer over a fixed record array; the
 // mutable database (table/versioned_table.h) replaces that array on every
 // epoch flip. EpochPirReader bridges the two: each read batch pins ONE
-// epoch, renders (or reuses) the two replica servers for exactly that
-// epoch's protected table, and runs the whole batch against the frozen
-// replicas. Flips landing mid-batch are invisible — the pin freezes the
-// snapshot — so a batch is bit-identical at any thread count and under any
-// interleaving with the writer, and two servers built from the same pinned
-// epoch are byte-for-byte identical replicas.
+// epoch, renders (or reuses) the replica for exactly that epoch's
+// protected table, and runs the whole batch through RecursivePirBatchRead
+// against the frozen replica. Flips landing mid-batch are invisible — the
+// pin freezes the snapshot — so a batch is bit-identical at any thread
+// count and under any interleaving with the writer.
 //
 // User privacy composes with respondent privacy here exactly as the paper's
 // framework prescribes: the records served are the *protected* (centroid-
@@ -16,9 +15,12 @@
 // interest (user dimension), and what they retrieve is already safe for
 // respondents (respondent dimension).
 //
-// The reader caches the replica pair per epoch, at most two entries —
-// matching the manager's live-epoch bound — so a flip costs one rebuild,
-// not one rebuild per read.
+// The reader caches one replica per epoch, at most two entries — matching
+// the manager's live-epoch bound — so a flip costs one rebuild, not one
+// rebuild per read. Each read aliases that replica 2^d times: replicas
+// built from one pinned epoch are byte-identical, and answers depend only
+// on the queries, so aliasing trades nothing but the per-replica trust
+// split, which an in-process reader never had.
 
 #pragma once
 
@@ -47,23 +49,20 @@ std::string RecordToString(const std::vector<uint8_t>& record);
 
 /// How an EpochPirReader serves its reads.
 struct EpochPirOptions {
-  /// 1 = the flat 2-server scheme; >= 2 = the recursive 2^d-server
-  /// hypercube scheme of pir/recursive_pir.h, served from ONE in-process
-  /// replica aliased 2^d times (replicas are byte-identical by
-  /// construction, and answers depend only on the queries, so aliasing
-  /// trades nothing but the per-replica trust split — which an in-process
-  /// reader never had).
+  /// Hypercube dimension d in [1, 8] of the 2^d-server scheme of
+  /// pir/recursive_pir.h (1 = the 2-server scheme). Any other value fails
+  /// every read with kInvalidArgument.
   size_t dimensions = 1;
   /// Build the dense record layout (XorPirServer::Preprocess) when an
-  /// epoch's replicas are rendered. The layout lives and dies with
+  /// epoch's replica is rendered. The layout lives and dies with
   /// the cached epoch entry: the flip-driven eviction IS the invalidation.
   bool preprocess = false;
-  /// Session key for recursive expansion scratch — an allowlisted tenant
-  /// class (obs::kClass* index), never a principal id.
+  /// Session key for expansion scratch — an allowlisted tenant class
+  /// (obs::kClass* index), never a principal id.
   uint8_t tenant_class = 0;
 };
 
-/// Per-epoch replica pair + batch read driver; see file comment. Not
+/// Per-epoch replica cache + batch read driver; see file comment. Not
 /// thread-safe itself (one reader per thread; the pinned epochs they share
 /// are immutable).
 class EpochPirReader {
@@ -85,30 +84,28 @@ class EpochPirReader {
 
   /// Epoch the most recent (batch) read was served from (0 before any).
   uint64_t last_served_epoch() const { return last_served_epoch_; }
-  /// Replica-pair builds so far (cache misses; flips cost one each).
+  /// Replica builds so far (cache misses; flips cost one each).
   uint64_t replica_builds() const { return replica_builds_; }
   /// Accumulated upload/download bits across all reads.
   const PirStats& stats() const { return stats_; }
-  /// Recursive-mode expansion sessions (empty in flat mode). Sessions for
-  /// epochs older than the newest rendered one are invalidated at render
-  /// time — the EpochManager flip hook.
+  /// Expansion sessions. Sessions for epochs older than the newest
+  /// rendered one are invalidated at render time — the EpochManager flip
+  /// hook.
   const PirSessionRegistry& sessions() const { return sessions_; }
   /// Bytes currently held by preprocessed dense layouts across the cache.
   uint64_t preprocess_bytes() const;
 
  private:
-  /// One epoch's frozen replicas: the flat pair (a, b), or in recursive
-  /// mode a single replica in `a` (aliased 2^d times at read time) plus
-  /// its hypercube geometry.
+  /// One epoch's frozen replica (aliased 2^d times at read time) plus its
+  /// hypercube geometry.
   struct Replicas {
     uint64_t epoch = 0;
-    std::unique_ptr<XorPirServer> a;
-    std::unique_ptr<XorPirServer> b;
+    std::unique_ptr<XorPirServer> replica;
     HypercubeGeometry geometry;
   };
 
-  /// The replica pair for `pinned`'s epoch, building and caching it on
-  /// miss (at most 2 cached pairs, oldest evicted — the live-epoch bound).
+  /// The replica for `pinned`'s epoch, building and caching it on miss (at
+  /// most 2 cached epochs, oldest evicted — the live-epoch bound).
   Result<Replicas*> ReplicasFor(const PinnedEpoch& pinned);
 
   EpochManager* manager_;

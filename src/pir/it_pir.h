@@ -3,24 +3,19 @@
 //
 // The user-privacy primitive: retrieve record i from replicated,
 // non-colluding servers such that no single server learns anything about i.
-//   * 2-server XOR scheme: server A gets a uniformly random subset S of
-//     record indices, server B gets S xor {i}; each returns the XOR of the
-//     selected records; the two answers XOR to record i. Query cost:
-//     n bits up, one record down, per server.
-//   * 4-server cube scheme: the index is split over a sqrt(n) x sqrt(n)
-//     grid and the subset trick applied per axis, cutting upload to
-//     O(sqrt(n)) bits per server.
+// This header holds the server side every XOR-PIR read shares: a replica
+// answers a selection bitmap with the XOR of the records it selects. The
+// one read driver is RecursivePirRead (pir/recursive_pir.h): Chor et al.'s
+// 2-server scheme is its d = 1 case (replica 0 expands a random subset S
+// from a 64-bit seed, replica 1 gets S xor {i}), and the 4-server cube its
+// d = 2 case.
 // The answer path is the system's steady-state hot loop: a blocked,
 // word-wide XOR kernel (pir/xor_kernel.h), optionally sharded across a
 // ThreadPool with per-shard partial accumulators merged in fixed shard
 // order, so the answer is bit-identical at any thread count. Preprocess()
 // copies the records into one dense, word-strided buffer (the XOR analog of
 // SealPIR's preprocess_ntt) that the sweep streams instead of chasing
-// per-record vectors; pir/recursive_pir.h generalizes the 4-server cube
-// below to d dimensions with seed-compressed queries. Batched reads
-// (TwoServerPirBatchRead) draw all query randomness serially in index
-// order, then fan the answer computation out across the pool — the whole
-// transcript is a pure function of the seed and the batch.
+// per-record vectors.
 //
 // Recording what a server observed (its view of the protocol, used by the
 // evaluation harness and the attack demos) is opt-in and bounded: under
@@ -30,7 +25,6 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -159,42 +153,15 @@ class XorPirServer {
 };
 
 /// Communication accounting. Contract: EVERY read path — single, batch,
-/// cube, recursive, keyword — ACCUMULATES into the caller's struct with
-/// `+=`, never overwrites, so one PirStats can meter an arbitrary
-/// interleaving of read paths as a running total. Callers wanting per-query
-/// numbers pass a freshly zeroed struct (or call Reset between reads).
+/// epoch, keyword — ACCUMULATES into the caller's struct with `+=`, never
+/// overwrites, so one PirStats can meter an arbitrary interleaving of read
+/// paths as a running total. Callers wanting per-query numbers pass a
+/// freshly zeroed struct (or call Reset between reads).
 struct PirStats {
   size_t upload_bits = 0;
   size_t download_bits = 0;
 
   void Reset() { upload_bits = download_bits = 0; }
 };
-
-/// Retrieves record `index` via the 2-server scheme. The two servers must
-/// hold identical replicas.
-Result<std::vector<uint8_t>> TwoServerPirRead(XorPirServer* server_a,
-                                              XorPirServer* server_b,
-                                              size_t index, Rng* rng,
-                                              PirStats* stats = nullptr);
-
-/// Batched 2-server reads. Selection randomness and observation logging
-/// happen serially in index order — exactly the draws a TwoServerPirRead
-/// loop would make — then the XOR answer kernels fan out across `pool`
-/// (null or 0-worker pool = inline). Answers are positional and
-/// bit-identical to the serial loop at any thread count; `stats`
-/// accumulates the batch totals. A per-slot compute failure never aborts
-/// the process: slot statuses are collected across the join and the first
-/// failure (in index order) is returned as the batch's typed error.
-Result<std::vector<std::vector<uint8_t>>> TwoServerPirBatchRead(
-    XorPirServer* server_a, XorPirServer* server_b,
-    const std::vector<size_t>& indices, Rng* rng, ThreadPool* pool = nullptr,
-    PirStats* stats = nullptr);
-
-/// Retrieves record `index` via the 4-server cube scheme (upload
-/// O(sqrt(n)) bits per server). All four servers must hold identical
-/// replicas.
-Result<std::vector<uint8_t>> FourServerCubePirRead(
-    const std::array<XorPirServer*, 4>& servers, size_t index, Rng* rng,
-    PirStats* stats = nullptr);
 
 }  // namespace tripriv

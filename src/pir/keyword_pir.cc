@@ -40,10 +40,11 @@ Result<KeywordPirStore> KeywordPirStore::Create(
     records.push_back(EncodeRecord(key, value));
   }
   KeywordPirStore store;
+  TRIPRIV_ASSIGN_OR_RETURN(store.geometry_,
+                           HypercubeGeometry::Balanced(records.size(), 1));
   TRIPRIV_ASSIGN_OR_RETURN(store.server_a_, XorPirServer::Create(records));
   TRIPRIV_ASSIGN_OR_RETURN(store.server_b_,
                            XorPirServer::Create(std::move(records)));
-  store.num_entries_ = entries.size();
   return store;
 }
 
@@ -51,28 +52,22 @@ Result<std::optional<uint64_t>> KeywordPirStore::Lookup(uint64_t key, Rng* rng,
                                                         PirStats* stats) {
   TRIPRIV_CHECK(rng != nullptr);
   // Private binary search over the sorted key array.
+  const std::vector<XorPirServer*> servers{&server_a_, &server_b_};
   size_t lo = 0;
-  size_t hi = num_entries_;  // exclusive
-  PirStats total;
+  size_t hi = size();  // exclusive
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    PirStats step;
     TRIPRIV_ASSIGN_OR_RETURN(
-        auto record, TwoServerPirRead(&server_a_, &server_b_, mid, rng, &step));
-    total.upload_bits += step.upload_bits;
-    total.download_bits += step.download_bits;
+        auto record, RecursivePirRead(servers, geometry_, mid, rng,
+                                      /*pool=*/nullptr, stats));
     const uint64_t mid_key = DecodeU64(record, 0);
-    if (mid_key == key) {
-      if (stats != nullptr) *stats = total;
-      return std::optional<uint64_t>(DecodeU64(record, 8));
-    }
+    if (mid_key == key) return std::optional<uint64_t>(DecodeU64(record, 8));
     if (mid_key < key) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (stats != nullptr) *stats = total;
   return std::optional<uint64_t>();
 }
 

@@ -4,7 +4,9 @@
 // position. Standard reduction (Chor, Gilboa & Naor): the server publishes
 // a sorted key array; the client binary-searches it with O(log n) index-PIR
 // reads, then retrieves the value — no server learns which key was probed.
-// Built here on the 2-server XOR scheme.
+// Built on the 2-server XOR scheme: RecursivePirRead at d = 1, so a probe
+// uploads 64 + n bits and every probe's PirStats accumulate into the
+// caller's struct.
 
 #pragma once
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "pir/it_pir.h"
+#include "pir/recursive_pir.h"
 
 namespace tripriv {
 
@@ -25,10 +28,11 @@ class KeywordPirStore {
   static Result<KeywordPirStore> Create(
       std::vector<std::pair<uint64_t, uint64_t>> entries);
 
-  size_t size() const { return num_entries_; }
+  size_t size() const { return geometry_.n; }
 
-  /// Privately looks up `key`; nullopt when absent. Accumulates stats over
-  /// the O(log n) underlying PIR reads.
+  /// Privately looks up `key`; nullopt when absent. Accumulates into
+  /// `stats` (see the PirStats contract) over the O(log n) underlying PIR
+  /// reads.
   Result<std::optional<uint64_t>> Lookup(uint64_t key, Rng* rng,
                                          PirStats* stats = nullptr);
 
@@ -40,7 +44,7 @@ class KeywordPirStore {
   // Each record stores key (8 bytes LE) + value (8 bytes LE).
   XorPirServer server_a_;
   XorPirServer server_b_;
-  size_t num_entries_ = 0;
+  HypercubeGeometry geometry_;  ///< d = 1 over the sorted entries
 };
 
 }  // namespace tripriv

@@ -1,6 +1,8 @@
 #include "pir/recursive_pir.h"
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "pir/xor_kernel.h"
 
@@ -33,16 +35,17 @@ std::vector<size_t> Strides(const HypercubeGeometry& g) {
   return stride;
 }
 
-/// Depth-first walk of the product of per-axis set-coordinate lists,
-/// emitting each selected cell below n. Coordinate lists are ascending and
-/// deeper axes only add to the cell index, so a cell >= n prunes the rest
-/// of its axis level — overhang cells are never even visited. A selected
-/// innermost row that lies wholly below n is the innermost axis bitmap
-/// itself, so it is ORed in at bit offset `base` a byte at a time; only a
-/// last row that overhangs n goes cell by cell.
+/// Depth-first walk of the product of the outer axes' set-coordinate
+/// lists, emitting each selected innermost row below n. Coordinate lists
+/// are ascending and deeper axes only add to the cell index, so a cell >= n
+/// prunes the rest of its axis level — overhang cells are never even
+/// visited. A row that lies wholly below n is the innermost axis bitmap
+/// itself: it is ORed in at bit offset `base` a byte at a time and counted
+/// by its popcount. Only a last row that overhangs n walks its bits.
 struct ProductExpander {
-  const std::vector<std::vector<size_t>>& set;
+  const std::vector<std::vector<size_t>>& outer;  ///< axes 0 .. d-2
   const std::vector<uint8_t>& row;  ///< innermost axis bitmap, padding zero
+  uint64_t row_cells;               ///< popcount of `row`
   size_t side;
   const std::vector<size_t>& stride;
   size_t n;
@@ -50,21 +53,20 @@ struct ProductExpander {
   uint64_t emitted = 0;
 
   void Walk(size_t axis, size_t base) {
-    if (axis + 1 == set.size()) {
+    if (axis == outer.size()) {
       if (base + side <= n) {
         OrRow(base);
-        emitted += set[axis].size();
+        emitted += row_cells;
         return;
       }
-      for (size_t c : set[axis]) {  // innermost stride is 1
-        const size_t cell = base + c;
-        if (cell >= n) break;
-        SetBit(flat, cell);
+      for (size_t c = 0; base + c < n; ++c) {  // innermost stride is 1
+        if (!GetBit(row, c)) continue;
+        SetBit(flat, base + c);
         ++emitted;
       }
       return;
     }
-    for (size_t c : set[axis]) {
+    for (size_t c : outer[axis]) {
       const size_t cell = base + c * stride[axis];
       if (cell >= n) break;
       Walk(axis + 1, cell);
@@ -130,24 +132,28 @@ uint64_t ExpandProductSelection(
     const HypercubeGeometry& g, std::vector<uint8_t>* flat) {
   TRIPRIV_CHECK(flat != nullptr);
   TRIPRIV_CHECK(axis_bits.size() == g.d);
-  // Ascending set-coordinate lists per axis: the walk touches only selected
-  // cells (about n / 2^d of them), not all side^d.
-  std::vector<std::vector<size_t>> set(g.d);
-  for (size_t k = 0; k < g.d; ++k) {
-    TRIPRIV_CHECK(axis_bits[k].size() == (g.side + 7) / 8);
+  for (const auto& axis : axis_bits) {
+    TRIPRIV_CHECK(axis.size() == (g.side + 7) / 8);
+  }
+  // Ascending set-coordinate lists of the outer axes: the walk visits only
+  // selected rows, not all side^(d-1).
+  std::vector<std::vector<size_t>> outer(g.d - 1);
+  for (size_t k = 0; k + 1 < g.d; ++k) {
     for (size_t c = 0; c < g.side; ++c) {
-      if (GetBit(axis_bits[k], c)) set[k].push_back(c);
+      if (GetBit(axis_bits[k], c)) outer[k].push_back(c);
     }
   }
   // The innermost bitmap with its padding bits cleared, so a whole-row OR
-  // sets exactly the cells of set[d - 1].
+  // sets exactly its selected cells and its popcount counts them.
   std::vector<uint8_t> row = axis_bits[g.d - 1];
   if (g.side % 8 != 0) {
     row.back() &= static_cast<uint8_t>((1u << (g.side % 8)) - 1u);
   }
+  uint64_t row_cells = 0;
+  for (uint8_t byte : row) row_cells += std::popcount(byte);
   flat->assign((g.n + 7) / 8, 0);
   const std::vector<size_t> stride = Strides(g);
-  ProductExpander expander{set, row, g.side, stride, g.n, flat};
+  ProductExpander expander{outer, row, row_cells, g.side, stride, g.n, flat};
   expander.Walk(0, 0);
   return expander.emitted;
 }
@@ -317,12 +323,22 @@ Result<std::vector<std::vector<uint8_t>>> RecursivePirBatchRead(
   answers.reserve(indices.size());
   // Items run serially in index order — exactly the rng draws and the
   // observation transcript of a RecursivePirRead loop — and one session's
-  // scratch serves every item.
-  for (size_t index : indices) {
-    TRIPRIV_ASSIGN_OR_RETURN(
-        auto answer,
-        RecursivePirRead(servers, g, index, rng, pool, stats, session));
-    answers.push_back(std::move(answer));
+  // scratch serves every item. The batch's totals reach `stats` only once
+  // every item succeeded.
+  PirStats batch;
+  for (size_t i = 0; i < indices.size(); ++i) {
+    auto answer =
+        RecursivePirRead(servers, g, indices[i], rng, pool, &batch, session);
+    if (!answer.ok()) {
+      return Status(answer.status().code(),
+                    "PIR batch slot " + std::to_string(i) +
+                        " failed: " + answer.status().message());
+    }
+    answers.push_back(std::move(answer).value());
+  }
+  if (stats != nullptr) {
+    stats->upload_bits += batch.upload_bits;
+    stats->download_bits += batch.download_bits;
   }
   return answers;
 }

@@ -1,10 +1,12 @@
 // Recursive d-dimensional information-theoretic PIR with seed-compressed
 // queries — the SealPIR/OnionPIR shape mapped onto replicated XOR servers.
 //
-// The flat 2-server scheme ships O(n) selection bits per query; at 10^6
-// records the query upload dominates everything else the serving stack
-// does. This module generalizes the 4-server cube path of pir/it_pir.h to
-// a d-dimensional hypercube over 2^d replicas:
+// RecursivePirRead / RecursivePirBatchRead are the one XOR-PIR read driver.
+// Chor et al.'s hypercube scheme is one protocol at every dimension: d = 1
+// is the 2-server scheme (a random subset S and S xor {i}), d = 2 the
+// 4-server cube, and higher d trade replicas for upload. The textbook
+// 2-server scheme ships 2n selection bits per query; at 10^6 records the
+// query upload dominates everything else the serving stack does. Here:
 //
 //   * the database is laid out as a hypercube of `side^d >= n` cells
 //     (HypercubeGeometry), the target index split into one coordinate per
@@ -22,19 +24,20 @@
 //     must not be sent to a replica that also receives a flipped axis —
 //     it could expand the unflipped bitmap and difference out the target
 //     coordinate — so only s = 0 gets it. Total upload per read:
-//     64 + (2^d - 1) * sum(side_k) bits, versus 2n flat.
+//     64 + (2^d - 1) * d * side bits: 64 + n at d = 1, versus the
+//     textbook scheme's 2n.
 //
 // Privacy: each replica sees either a seed (whose expansion is a uniform
 // bitmap per axis) or explicit bitmaps that are uniform on their own
 // (flipping a fixed bit of a uniform bitmap preserves uniformity), so no
-// single replica learns anything about the target — the same
-// single-server blindness argument as the flat scheme, axis by axis.
+// single replica learns anything about the target — Chor et al.'s
+// single-server blindness argument, axis by axis.
 //
 // Every replica expands its axis bitmaps into the canonical flat n-bit
 // product selection (padding bits zero, overhang cells of the geometric
 // cube never set) before answering, so observed transcripts, popcount
 // accounting, and the byte-identical-at-any-thread-count contract are
-// EXACTLY those of the flat XorPirServer path.
+// EXACTLY those of XorPirServer::Answer over an n-bit bitmap.
 //
 // PirSessionRegistry is the OnionPIR `client_galois_keys_` shape mapped to
 // this scheme: per-client expansion state that servers retain across a
@@ -184,7 +187,9 @@ Result<std::vector<uint8_t>> RecursivePirRead(
 /// Batched recursive reads, positional answers. Items run serially in
 /// index order (the rng transcript of a RecursivePirRead loop); `pool`
 /// shards each replica's XOR sweep, so answers are bit-identical at any
-/// thread count. One session's scratch serves the whole batch.
+/// thread count. One session's scratch serves the whole batch. The first
+/// failing item ends the batch with its typed error, naming its slot, and
+/// a failed batch adds nothing to `stats`.
 Result<std::vector<std::vector<uint8_t>>> RecursivePirBatchRead(
     const std::vector<XorPirServer*>& servers, const HypercubeGeometry& g,
     const std::vector<size_t>& indices, Rng* rng, ThreadPool* pool = nullptr,

@@ -10,9 +10,9 @@
 //     admission decisions, audit-state evolution, WAL bytes, fault draws,
 //     and answers are byte-identical to a serial Submit loop at any thread
 //     count;
-//   * PIR record reads go through FailoverPirClient::ReadBatch, which draws
-//     all query randomness serially and fans only the XOR answer kernels
-//     out across the pool.
+//   * PIR record reads go through FailoverPirClient::ReadBatch, which runs
+//     the reads serially in index order and shards only each replica's XOR
+//     sweep across the pool.
 //
 // Determinism is not a nicety here: the fault-injection and WAL-recovery
 // suites replay runs from seeds and diff transcripts byte-for-byte, and

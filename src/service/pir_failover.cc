@@ -2,7 +2,6 @@
 
 #include "pir/xor_kernel.h"
 #include "util/checksum.h"
-#include "util/thread_pool.h"
 
 namespace tripriv {
 namespace {
@@ -51,13 +50,8 @@ Result<FailoverPirClient> FailoverPirClient::BuildRecursive(
   FailoverPirClient client(retry, clock, seed);
   client.num_records_ = records.size();
   client.payload_size_ = records[0].size();
-  client.dimensions_ = dimensions;
-  if (dimensions > 1) {
-    TRIPRIV_ASSIGN_OR_RETURN(
-        client.geometry_, HypercubeGeometry::Balanced(stored.size(), dimensions));
-  } else if (dimensions < 1) {
-    return Status::InvalidArgument("hypercube dimension must be in [1, 8]");
-  }
+  TRIPRIV_ASSIGN_OR_RETURN(
+      client.geometry_, HypercubeGeometry::Balanced(stored.size(), dimensions));
   const size_t total = client.group_size() * num_groups;
   client.servers_.reserve(total);
   for (size_t s = 0; s < total; ++s) {
@@ -106,30 +100,8 @@ Result<std::vector<uint8_t>> FailoverPirClient::ReadFromGroup(
     }
   }
 
-  if (dimensions_ <= 1) {
-    const size_t a = base;
-    const size_t b = base + 1;
-    const size_t n = num_records_;
-    std::vector<uint8_t> sel_a = RandomSelectionBits(n, &rng_);
-    std::vector<uint8_t> sel_b = sel_a;
-    FlipSelectionBit(&sel_b, index);
-
-    TRIPRIV_ASSIGN_OR_RETURN(auto ans_a, servers_[a].Answer(sel_a));
-    TRIPRIV_ASSIGN_OR_RETURN(auto ans_b, servers_[b].Answer(sel_b));
-    for (size_t s : {a, b}) {
-      auto& ans = (s == a) ? ans_a : ans_b;
-      if (!ans.empty() && rng_.Bernoulli(faults_[s].corrupt_rate)) {
-        const size_t byte = static_cast<size_t>(rng_.UniformU64(ans.size()));
-        ans[byte] ^= 0x5A;
-      }
-    }
-    TRIPRIV_CHECK_EQ(ans_a.size(), ans_b.size());
-    for (size_t i = 0; i < ans_a.size(); ++i) ans_a[i] ^= ans_b[i];
-    return VerifyReconstruction(std::move(ans_a), group);
-  }
-
-  // Recursive group: seed-compressed queries, one answer per replica,
-  // fault draws in member order (the flat path's per-side discipline).
+  // Seed-compressed queries, one answer per replica, fault draws in member
+  // order.
   PirSessionRegistry::Session* session =
       sessions_.Establish(tenant_class, geometry_, /*epoch=*/0);
   TRIPRIV_ASSIGN_OR_RETURN(auto queries,
@@ -166,8 +138,8 @@ Result<std::vector<uint8_t>> FailoverPirClient::ReadImpl(
     return Status::OutOfRange("record index out of range");
   }
   const size_t groups = num_groups();
-  const size_t first_group = next_pair_;
-  next_pair_ = (next_pair_ + 1) % groups;
+  const size_t first_group = next_group_;
+  next_group_ = (next_group_ + 1) % groups;
 
   Status last = Status::Unavailable("no PIR attempt was made");
   const size_t max_attempts = retry_.max_attempts < 1 ? 1 : retry_.max_attempts;
@@ -195,132 +167,12 @@ Result<std::vector<uint8_t>> FailoverPirClient::ReadImpl(
 std::vector<Result<std::vector<uint8_t>>> FailoverPirClient::ReadBatch(
     const std::vector<size_t>& indices, const Deadline& deadline,
     ThreadPool* pool, uint8_t tenant_class) {
-  if (dimensions_ > 1) {
-    // Recursive groups: items run serially in index order (the exact rng
-    // transcript of a Read loop) and the pool instead shards each
-    // replica's XOR sweep inside the answer — expansion state and the
-    // session scratch never cross threads, and one session serves the
-    // whole batch.
-    std::vector<Result<std::vector<uint8_t>>> results;
-    results.reserve(indices.size());
-    for (size_t index : indices) {
-      results.push_back(ReadImpl(index, deadline, tenant_class, pool));
-    }
-    return results;
-  }
-
-  // One fast-path attempt per item against its round-robin pair, with all
-  // randomness pre-drawn so the compute stage is pure.
-  struct BatchAttempt {
-    size_t pair = 0;
-    bool fast_path = false;  ///< pair healthy; attempt runs in stage 2
-    std::vector<uint8_t> sel_a;
-    std::vector<uint8_t> sel_b;
-    bool corrupt[2] = {false, false};
-    size_t corrupt_byte[2] = {0, 0};
-    bool verified = false;  ///< stage-2 verdict: checksum held
-    std::vector<uint8_t> payload;
-  };
-
-  const size_t count = indices.size();
-  const size_t pairs = num_pairs();
-  const size_t stored_size = payload_size_ + 8;
-  std::vector<Result<std::vector<uint8_t>>> results(
-      count, Result<std::vector<uint8_t>>(
-                 Status::Unavailable("PIR batch item not attempted")));
-  std::vector<BatchAttempt> attempts(count);
-
-  // Stage 1 (serial, index order): validate, assign pairs round-robin, draw
-  // selection pairs and fault outcomes, log observations — the same rng
-  // transcript a serial Read loop produces when no fault fires.
-  const bool expired = deadline.expired(*clock_);
-  for (size_t i = 0; i < count; ++i) {
-    if (indices[i] >= num_records_) {
-      results[i] = Status::OutOfRange("record index out of range");
-      continue;
-    }
-    if (expired) {
-      results[i] = DeadlineExceededError("PIR batch read");
-      continue;
-    }
-    BatchAttempt& at = attempts[i];
-    at.pair = next_pair_;
-    next_pair_ = (next_pair_ + 1) % pairs;
-    const size_t a = 2 * at.pair;
-    const size_t b = a + 1;
-    if (faults_[a].crashed || faults_[b].crashed) {
-      continue;  // stage 3 sends this item down the retry ladder
-    }
-    at.sel_a = RandomSelectionBits(num_records_, &rng_);
-    at.sel_b = at.sel_a;
-    FlipSelectionBit(&at.sel_b, indices[i]);
-    servers_[a].ObserveQuery(at.sel_a);
-    servers_[b].ObserveQuery(at.sel_b);
-    for (size_t side = 0; side < 2; ++side) {
-      at.corrupt[side] = rng_.Bernoulli(faults_[a + side].corrupt_rate);
-      if (at.corrupt[side]) {
-        at.corrupt_byte[side] =
-            static_cast<size_t>(rng_.UniformU64(stored_size));
-      }
-    }
-    at.fast_path = true;
-  }
-
-  // Stage 2 (parallel): pure reconstruction + checksum verification into
-  // per-item slots. No rng, no counters, no shared mutation.
-  auto run_attempt = [this, stored_size, &attempts](size_t i) {
-    BatchAttempt& at = attempts[i];
-    if (!at.fast_path) return;
-    const size_t a = 2 * at.pair;
-    const size_t b = a + 1;
-    auto ans_a = servers_[a].ComputeAnswer(at.sel_a);
-    auto ans_b = servers_[b].ComputeAnswer(at.sel_b);
-    TRIPRIV_CHECK(ans_a.ok() && ans_b.ok());
-    for (size_t side = 0; side < 2; ++side) {
-      if (!at.corrupt[side]) continue;
-      auto& ans = (side == 0) ? *ans_a : *ans_b;
-      ans[at.corrupt_byte[side]] ^= 0x5A;
-    }
-    std::vector<uint8_t> rec = std::move(ans_a).value();
-    XorBytesInto(rec.data(), ans_b->data(), rec.size());
-    TRIPRIV_CHECK_EQ(rec.size(), stored_size);
-    uint64_t stored_sum = 0;
-    for (int k = 0; k < 8; ++k) {
-      stored_sum |= static_cast<uint64_t>(rec[payload_size_ + k]) << (8 * k);
-    }
-    if (Fnv1a64(rec.data(), payload_size_) != stored_sum) return;
-    rec.resize(payload_size_);
-    at.payload = std::move(rec);
-    at.verified = true;
-  };
-  if (pool == nullptr || pool->num_threads() <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) run_attempt(i);
-  } else {
-    pool->ParallelFor(count, [&run_attempt](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) run_attempt(i);
-    });
-  }
-
-  // Stage 3 (serial, index order): publish verdicts, update counters, and
-  // run the failure ladder for items whose fast-path attempt did not
-  // verify.
-  for (size_t i = 0; i < count; ++i) {
-    BatchAttempt& at = attempts[i];
-    if (at.fast_path && at.verified) {
-      results[i] = std::move(at.payload);
-      continue;
-    }
-    if (indices[i] >= num_records_ || expired) continue;  // already typed
-    if (at.fast_path) {
-      // The reconstruction was rejected by the checksum — same accounting
-      // as the serial ReadFromPair path.
-      ++corrupt_detected_;
-    }
-    // The attempt moved past its first-choice pair: charge a failover and
-    // backoff, then re-enter the serial retry ladder with fresh randomness.
-    ++failovers_;
-    clock_->Advance(retry_.BackoffTicks(0));
-    results[i] = Read(indices[i], deadline);
+  // Items run serially in index order (the exact rng transcript of a Read
+  // loop); the pool shards each replica's XOR sweep inside the answer.
+  std::vector<Result<std::vector<uint8_t>>> results;
+  results.reserve(indices.size());
+  for (size_t index : indices) {
+    results.push_back(ReadImpl(index, deadline, tenant_class, pool));
   }
   return results;
 }

@@ -1,31 +1,29 @@
 // Multi-server IT-PIR with failover.
 //
-// The 2-server XOR scheme (pir/it_pir.h) needs both servers of a pair to
-// answer, and answers correctly only if neither lies: the client XORs two
-// opaque blobs, so a single corrupt answer silently yields a corrupt
-// record. FailoverPirClient makes the scheme serviceable:
+// XOR PIR (pir/recursive_pir.h) needs every replica of a group to answer,
+// and answers correctly only if none lies: the client XORs opaque blobs,
+// so a single corrupt answer silently yields a corrupt record.
+// FailoverPirClient makes the scheme serviceable:
 //
-//   * the database is replicated onto `num_pairs` independent server pairs;
+//   * the database is replicated onto `num_groups` independent groups of
+//     2^d replicas, each group running the d-dimensional hypercube scheme
+//     (d = 1 is the 2-server scheme, a pair per group);
 //   * every stored record carries an 8-byte FNV-1a checksum suffix, so the
 //     client can detect a corrupted reconstruction without any reference
-//     copy (both pair members would have to corrupt consistently to forge
-//     it — excluded by the non-collusion assumption IT-PIR already makes);
+//     copy (the group's members would have to corrupt consistently to
+//     forge it — excluded by the non-collusion assumption IT-PIR already
+//     makes);
 //   * a crashed server (kUnavailable) or a detected-corrupt reconstruction
-//     fails the attempt over to the next pair under a RetryPolicy, with
+//     fails the attempt over to the next group under a RetryPolicy, with
 //     backoff charged to the simulated clock and the caller's Deadline
 //     enforced between attempts.
 //
-// Privacy note: failing over re-issues the query to a *different* pair with
-// fresh selection randomness; no server ever sees both halves of one
-// query, so the single-server view stays information-theoretically blind
-// across retries.
-//
-// BuildRecursive swaps the pairs for groups of 2^d replicas running the
-// recursive hypercube scheme (pir/recursive_pir.h): upload drops from O(n)
-// to O(d * n^(1/d)) bits per read, failover moves whole groups, and a
+// Privacy note: failing over re-issues the query to a *different* group
+// with a fresh seed; no server ever sees two members' queries of one read,
+// so the single-server view stays information-theoretically blind across
+// retries. Upload is 64 + (2^d - 1) * d * n^(1/d) bits per read, and a
 // PirSessionRegistry keyed by allowlisted tenant class retains expansion
-// scratch across a batch. d = 1 degenerates to the flat pair path,
-// byte-identical to Build.
+// scratch across a batch.
 
 #pragma once
 
@@ -49,21 +47,20 @@ struct PirServerFault {
   double corrupt_rate = 0.0;
 };
 
-/// 2-server XOR PIR across `num_pairs` replicated pairs with checksum
-/// verification and pair failover. See file comment.
+/// Hypercube XOR PIR across replicated groups with checksum verification
+/// and group failover. See file comment.
 class FailoverPirClient {
  public:
-  /// Replicates `records` (plus per-record checksums) onto 2 * num_pairs
-  /// servers. Requires num_pairs >= 1 and valid records (see
-  /// XorPirServer::Create).
+  /// The 2-server scheme: BuildRecursive at d = 1, one pair per group.
   static Result<FailoverPirClient> Build(
       const std::vector<std::vector<uint8_t>>& records, size_t num_pairs,
       const RetryPolicy& retry, SimClock* clock, uint64_t seed);
 
-  /// Like Build, but each failover group runs the recursive d-dimensional
-  /// scheme across 2^d replicas (d = 1 is exactly the flat pair path).
+  /// Replicates `records` (plus per-record checksums) onto num_groups
+  /// groups of 2^d servers, each group running the d-dimensional scheme.
   /// `preprocess` renders the per-replica dense layout at build time.
-  /// Requires num_groups >= 1 and d in [1, 8].
+  /// Requires num_groups >= 1, d in [1, 8] and valid records (see
+  /// XorPirServer::Create).
   static Result<FailoverPirClient> BuildRecursive(
       const std::vector<std::vector<uint8_t>>& records, size_t num_groups,
       size_t dimensions, const RetryPolicy& retry, SimClock* clock,
@@ -77,36 +74,28 @@ class FailoverPirClient {
   /// retry policy and `deadline`. Returns the record WITHOUT its checksum
   /// suffix. Fails with kUnavailable when every attempt hit a crashed group
   /// or a corrupt reconstruction, kDeadlineExceeded when time ran out.
-  /// `tenant_class` keys the recursive expansion session (allowlisted
-  /// class index, never a principal id; ignored in flat mode).
+  /// `tenant_class` keys the expansion session (allowlisted class index,
+  /// never a principal id).
   Result<std::vector<uint8_t>> Read(size_t index, const Deadline& deadline,
                                     uint8_t tenant_class = 0);
 
-  /// Batched private reads with positional results. Pair assignment,
-  /// selection randomness, observation logging, and fault draws all happen
-  /// serially in index order; only the pure XOR answer kernels and checksum
-  /// verification fan out across `pool` (null = inline). When no fault
-  /// fires, the rng transcript is identical to a serial Read loop. Items
-  /// whose fast-path attempt fails (crashed pair, corrupt reconstruction)
-  /// fall back to the serial Read retry ladder, again in index order, so
-  /// answers, counters, and server views are independent of the thread
-  /// count.
+  /// Batched private reads with positional results: a Read loop in index
+  /// order (the exact rng transcript of serial Reads) whose per-replica
+  /// XOR sweeps are sharded across `pool` (null = inline). Expansion state
+  /// and session scratch never cross threads, one session serves the whole
+  /// batch, and answers, counters and server views are independent of the
+  /// thread count.
   std::vector<Result<std::vector<uint8_t>>> ReadBatch(
       const std::vector<size_t>& indices, const Deadline& deadline,
       ThreadPool* pool = nullptr, uint8_t tenant_class = 0);
 
-  size_t num_pairs() const { return servers_.size() / 2; }
-  /// Replicas per failover group: 2 flat, 2^d recursive.
-  size_t group_size() const {
-    return dimensions_ <= 1 ? 2 : (size_t{1} << dimensions_);
-  }
-  /// Independent failover groups (== num_pairs() in flat mode).
+  /// Replicas per failover group: 2^d.
+  size_t group_size() const { return geometry_.num_servers(); }
+  /// Independent failover groups.
   size_t num_groups() const { return servers_.size() / group_size(); }
-  /// 1 for the flat pair scheme, else the hypercube dimension.
-  size_t dimensions() const { return dimensions_; }
-  /// Recursive-mode hypercube geometry (zero-initialized in flat mode).
+  /// Hypercube geometry every group serves.
   const HypercubeGeometry& geometry() const { return geometry_; }
-  /// Per-tenant-class recursive expansion sessions (empty in flat mode).
+  /// Per-tenant-class expansion sessions.
   const PirSessionRegistry& sessions() const { return sessions_; }
   /// Bytes held by preprocessed dense layouts across all replicas.
   uint64_t preprocess_bytes() const {
@@ -117,7 +106,7 @@ class FailoverPirClient {
     return total;
   }
   size_t num_records() const { return num_records_; }
-  /// Attempts that moved past the first-choice pair.
+  /// Attempts that moved past the first-choice group.
   size_t failovers() const { return failovers_; }
   /// Reconstructions rejected by the checksum.
   size_t corrupt_answers_detected() const { return corrupt_detected_; }
@@ -153,14 +142,12 @@ class FailoverPirClient {
   FailoverPirClient(const RetryPolicy& retry, SimClock* clock, uint64_t seed)
       : retry_(retry), clock_(clock), rng_(seed) {}
 
-  /// One read against group `group` (the 2-server scheme flat, the
-  /// recursive scheme otherwise), with fault injection and checksum
-  /// verification. `pool` shards each replica's XOR sweep in recursive
-  /// mode (unused flat — the batch path owns flat parallelism).
+  /// One read against group `group`, with fault injection and checksum
+  /// verification. `pool` shards each replica's XOR sweep.
   Result<std::vector<uint8_t>> ReadFromGroup(size_t group, size_t index,
                                              uint8_t tenant_class,
                                              ThreadPool* pool);
-  /// Read with an explicit pool for the recursive per-replica sweeps.
+  /// Read with an explicit pool for the per-replica sweeps.
   Result<std::vector<uint8_t>> ReadImpl(size_t index, const Deadline& deadline,
                                         uint8_t tenant_class,
                                         ThreadPool* pool);
@@ -174,12 +161,11 @@ class FailoverPirClient {
   Rng rng_;
   size_t num_records_ = 0;
   size_t payload_size_ = 0;  ///< record size before the checksum suffix
-  size_t dimensions_ = 1;    ///< 1 = flat pairs; >= 2 = recursive groups
-  HypercubeGeometry geometry_;  ///< recursive mode only
+  HypercubeGeometry geometry_;
   PirSessionRegistry sessions_;
   std::vector<XorPirServer> servers_;  ///< [group0 m0, group0 m1, ...]
   std::vector<PirServerFault> faults_;
-  size_t next_pair_ = 0;  ///< round-robin start of the next read
+  size_t next_group_ = 0;  ///< round-robin start of the next read
   size_t failovers_ = 0;
   size_t corrupt_detected_ = 0;
 };

@@ -218,8 +218,8 @@ class QueryService {
   /// Privately reads record `index` through the attached failover client.
   Result<std::vector<uint8_t>> PirRead(size_t index, const Deadline& deadline);
 
-  /// Batched private reads through the attached failover client, fanning
-  /// the XOR answer kernels across `pool` (see FailoverPirClient::ReadBatch
+  /// Batched private reads through the attached failover client, sharding
+  /// each replica's XOR sweep across `pool` (see FailoverPirClient::ReadBatch
   /// for the determinism contract). Results are positional.
   std::vector<Result<std::vector<uint8_t>>> PirReadBatch(
       const std::vector<size_t>& indices, const Deadline& deadline,

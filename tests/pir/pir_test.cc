@@ -1,10 +1,14 @@
 // Tests for information-theoretic PIR, computational PIR, and keyword PIR.
+// The 2-server scheme is RecursivePirRead at d = 1: replica 0 expands a
+// random subset from a 64-bit seed, replica 1 receives it with the target
+// flipped; the 4-server cube is its d = 2 case.
 
 #include <gtest/gtest.h>
 
 #include "pir/cpir.h"
 #include "pir/it_pir.h"
 #include "pir/keyword_pir.h"
+#include "pir/recursive_pir.h"
 
 namespace tripriv {
 namespace {
@@ -18,14 +22,22 @@ std::vector<std::vector<uint8_t>> MakeRecords(size_t n, size_t size) {
   return records;
 }
 
+/// The d = 1 geometry of an n-record database: one axis of n cells.
+HypercubeGeometry Flat(size_t n) {
+  auto g = HypercubeGeometry::Balanced(n, 1);
+  TRIPRIV_CHECK(g.ok());
+  return *g;
+}
+
 TEST(TwoServerPirTest, RetrievesEveryIndex) {
   auto records = MakeRecords(37, 16);
   auto a = XorPirServer::Create(records);
   auto b = XorPirServer::Create(records);
   ASSERT_TRUE(a.ok() && b.ok());
+  const HypercubeGeometry g = Flat(records.size());
   Rng rng(1);
   for (size_t i = 0; i < records.size(); ++i) {
-    auto got = TwoServerPirRead(&*a, &*b, i, &rng);
+    auto got = RecursivePirRead({&*a, &*b}, g, i, &rng);
     ASSERT_TRUE(got.ok()) << i;
     EXPECT_EQ(*got, records[i]) << i;
   }
@@ -38,32 +50,43 @@ TEST(TwoServerPirTest, StatsAreReported) {
   ASSERT_TRUE(a.ok() && b.ok());
   Rng rng(2);
   PirStats stats;
-  ASSERT_TRUE(TwoServerPirRead(&*a, &*b, 5, &rng, &stats).ok());
-  EXPECT_EQ(stats.upload_bits, 2 * 64u);
+  ASSERT_TRUE(
+      RecursivePirRead({&*a, &*b}, Flat(64), 5, &rng, nullptr, &stats).ok());
+  // Replica 0 gets the 64-bit seed, replica 1 the n-bit flipped bitmap.
+  EXPECT_EQ(stats.upload_bits, 64 + 64u);
   EXPECT_EQ(stats.download_bits, 2 * 8 * 8u);
 }
 
 TEST(TwoServerPirTest, SingleServerViewIsTargetIndependent) {
   // Empirical privacy check: the marginal distribution of each selection
-  // bit seen by server A must be ~Bernoulli(1/2) regardless of the target.
+  // bit seen by either replica must be ~Bernoulli(1/2) regardless of the
+  // target — for replica 0 that is the bitmap it expanded from its seed,
+  // for replica 1 the explicit bitmap with the target flipped.
   auto records = MakeRecords(16, 4);
   auto a = XorPirServer::Create(records);
   auto b = XorPirServer::Create(records);
   ASSERT_TRUE(a.ok() && b.ok());
   a->EnableObservationLog(1);
+  b->EnableObservationLog(1);
+  const HypercubeGeometry g = Flat(records.size());
   Rng rng(3);
   const size_t trials = 600;
-  std::vector<size_t> bit_counts(16, 0);
+  std::vector<size_t> bit_counts_a(16, 0);
+  std::vector<size_t> bit_counts_b(16, 0);
   for (size_t t = 0; t < trials; ++t) {
-    ASSERT_TRUE(TwoServerPirRead(&*a, &*b, /*index=*/7, &rng).ok());
-    const auto& view = a->last_observed_query();
+    ASSERT_TRUE(RecursivePirRead({&*a, &*b}, g, /*index=*/7, &rng).ok());
+    const auto& view_a = a->last_observed_query();
+    const auto& view_b = b->last_observed_query();
     for (size_t i = 0; i < 16; ++i) {
-      bit_counts[i] += (view[i / 8] >> (i % 8)) & 1u;
+      bit_counts_a[i] += (view_a[i / 8] >> (i % 8)) & 1u;
+      bit_counts_b[i] += (view_b[i / 8] >> (i % 8)) & 1u;
     }
   }
   for (size_t i = 0; i < 16; ++i) {
-    const double freq = static_cast<double>(bit_counts[i]) / trials;
-    EXPECT_NEAR(freq, 0.5, 0.08) << "bit " << i;
+    EXPECT_NEAR(static_cast<double>(bit_counts_a[i]) / trials, 0.5, 0.08)
+        << "replica 0, bit " << i;
+    EXPECT_NEAR(static_cast<double>(bit_counts_b[i]) / trials, 0.5, 0.08)
+        << "replica 1, bit " << i;
   }
 }
 
@@ -138,15 +161,21 @@ TEST(TwoServerPirTest, RejectsBadInput) {
   auto b = XorPirServer::Create(MakeRecords(9, 4));
   ASSERT_TRUE(a.ok() && b.ok());
   Rng rng(4);
-  EXPECT_FALSE(TwoServerPirRead(&*a, &*b, 0, &rng).ok());  // size mismatch
+  const HypercubeGeometry g = Flat(records.size());
+  EXPECT_EQ(RecursivePirRead({&*a, &*b}, g, 0, &rng).status().code(),
+            StatusCode::kInvalidArgument);  // size mismatch
   auto b2 = XorPirServer::Create(records);
   ASSERT_TRUE(b2.ok());
-  EXPECT_FALSE(TwoServerPirRead(&*a, &*b2, 8, &rng).ok());  // out of range
+  EXPECT_EQ(RecursivePirRead({&*a, &*b2}, g, 8, &rng).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(RecursivePirRead({&*a}, g, 0, &rng).status().code(),
+            StatusCode::kInvalidArgument);  // d = 1 needs two replicas
   EXPECT_FALSE(XorPirServer::Create({}).ok());
   EXPECT_FALSE(XorPirServer::Create({{}}).ok());
   EXPECT_FALSE(XorPirServer::Create({{1, 2}, {3}}).ok());
 }
 
+// The 4-server cube is RecursivePirRead at d = 2.
 TEST(FourServerCubePirTest, RetrievesEveryIndex) {
   auto records = MakeRecords(30, 8);  // non-square count exercises padding
   std::vector<XorPirServer> servers;
@@ -155,16 +184,19 @@ TEST(FourServerCubePirTest, RetrievesEveryIndex) {
     ASSERT_TRUE(s.ok());
     servers.push_back(std::move(*s));
   }
+  auto g = HypercubeGeometry::Balanced(records.size(), 2);
+  ASSERT_TRUE(g.ok());
   Rng rng(5);
-  std::array<XorPirServer*, 4> ptrs{&servers[0], &servers[1], &servers[2],
-                                    &servers[3]};
+  const std::vector<XorPirServer*> ptrs{&servers[0], &servers[1],
+                                        &servers[2], &servers[3]};
   for (size_t i = 0; i < records.size(); ++i) {
     PirStats stats;
-    auto got = FourServerCubePirRead(ptrs, i, &rng, &stats);
+    auto got = RecursivePirRead(ptrs, *g, i, &rng, nullptr, &stats);
     ASSERT_TRUE(got.ok()) << i;
     EXPECT_EQ(*got, records[i]) << i;
-    // Upload is O(sqrt(n)) per the compact per-axis accounting.
-    EXPECT_LT(stats.upload_bits, 4 * 2 * 8u * 2);
+    // Upload is O(sqrt(n)): the 64-bit seed plus 2 axes of side 6 for each
+    // of the other three servers.
+    EXPECT_EQ(stats.upload_bits, 64 + 3 * 2 * 6u);
   }
 }
 
@@ -246,9 +278,11 @@ TEST(KeywordPirTest, LogarithmicQueryCount) {
   PirStats stats;
   auto hit = store->Lookup(64, &rng, &stats);
   ASSERT_TRUE(hit.ok());
-  // Binary search over 128 keys: <= 8 reads of 2x128 bits upload each.
-  EXPECT_LE(stats.upload_bits, 8 * 2 * 128u);
-  EXPECT_GT(stats.upload_bits, 0u);
+  // Binary search over 128 keys: <= 8 reads of 64 + 128 bits upload each.
+  const size_t reads = store->queries_observed() / 2;
+  EXPECT_GT(reads, 0u);
+  EXPECT_LE(reads, 8u);
+  EXPECT_EQ(stats.upload_bits, reads * (64 + 128u));
 }
 
 TEST(KeywordPirTest, RejectsBadInput) {

@@ -1,7 +1,8 @@
-// Recursive d-dimensional PIR: geometry, seed expansion, retrieval,
-// sublinear upload, canonical flat transcripts (padding and overhang),
-// row-wise product expansion against a per-cell reference, preprocessing
-// equivalence, session reuse, epoch invalidation, and the
+// Recursive d-dimensional PIR — the one XOR-PIR read driver, d = 1 being
+// the 2-server scheme and d = 2 the 4-server cube: geometry, seed
+// expansion, retrieval, upload, canonical flat transcripts (padding and
+// overhang), row-wise product expansion against a per-cell reference,
+// preprocessing equivalence, session reuse, epoch invalidation, and the
 // thread-count invariance contract (this file carries the parallel label —
 // the TSan leg's payload for `ctest -L pir`).
 
@@ -89,10 +90,11 @@ TEST(HypercubeGeometryTest, CoordinatesRoundTrip) {
 }
 
 TEST(RecursivePirTest, RetrievesEveryIndexAtD2AndD3) {
-  // 30 records: side 6 at d=2 (6 overhang cells) and side 4 at d=3 (34
-  // overhang cells) — awkward on purpose.
+  // 30 records: side 30 at d=1 (the 2-server scheme), side 6 at d=2 (6
+  // overhang cells, the 4-server cube) and side 4 at d=3 (34 overhang
+  // cells) — awkward on purpose.
   auto records = MakeRecords(30, 16);
-  for (size_t d : {2u, 3u}) {
+  for (size_t d : {1u, 2u, 3u}) {
     auto g = HypercubeGeometry::Balanced(records.size(), d);
     ASSERT_TRUE(g.ok());
     Fleet fleet = MakeFleet(records, d);
@@ -107,18 +109,28 @@ TEST(RecursivePirTest, RetrievesEveryIndexAtD2AndD3) {
 
 TEST(RecursivePirTest, UploadIsSeedPlusAxisBits) {
   auto records = MakeRecords(4096, 8);
-  auto g = HypercubeGeometry::Balanced(records.size(), 2);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->side, 64u);
-  Fleet fleet = MakeFleet(records, 2);
-  Rng rng(7);
-  PirStats stats;
-  ASSERT_TRUE(RecursivePirRead(fleet.ptrs, *g, 123, &rng, nullptr, &stats).ok());
-  // Server 0 gets the 64-bit seed; the other three get d*side explicit bits.
-  EXPECT_EQ(stats.upload_bits, 64u + 3 * 2 * 64u);
-  EXPECT_EQ(stats.download_bits, 4 * 8 * 8u);
-  // Sublinear in n: a flat 2-server read ships 2n bits.
-  EXPECT_LT(stats.upload_bits, 2 * records.size() / 10);
+  // Server 0 gets the 64-bit seed; the other 2^d - 1 get d*side explicit
+  // bits: 64 + n at d = 1 (side 4096), 64 + 3*2*64 at d = 2 (side 64).
+  struct Case {
+    size_t d, side, upload;
+  };
+  for (const Case& c : std::initializer_list<Case>{{1, 4096, 64 + 4096},
+                                                   {2, 64, 64 + 3 * 2 * 64}}) {
+    auto g = HypercubeGeometry::Balanced(records.size(), c.d);
+    ASSERT_TRUE(g.ok());
+    EXPECT_EQ(g->side, c.side);
+    Fleet fleet = MakeFleet(records, c.d);
+    Rng rng(7);
+    PirStats stats;
+    ASSERT_TRUE(
+        RecursivePirRead(fleet.ptrs, *g, 123, &rng, nullptr, &stats).ok());
+    EXPECT_EQ(stats.upload_bits, c.upload) << "d=" << c.d;
+    EXPECT_EQ(stats.download_bits, (size_t{1} << c.d) * 8 * 8u);
+    // Sublinear in n from d = 2: the textbook 2-server read ships 2n bits.
+    if (c.d >= 2) {
+      EXPECT_LT(stats.upload_bits, 2 * records.size() / 10);
+    }
+  }
 }
 
 TEST(RecursivePirTest, SeedExpansionIsPureAndDrawsOneWord) {
@@ -142,26 +154,31 @@ TEST(RecursivePirTest, OnlyTheUnflippedServerHoldsTheSeed) {
   // Privacy invariant: a seed plus a flipped axis bitmap would let one
   // replica difference out the target coordinate, so the seed form must go
   // only to server 0, whose explicit expansion matches the base bitmaps
-  // every other server's bitmaps are one flip away from.
-  auto g = HypercubeGeometry::Balanced(100, 2);
-  ASSERT_TRUE(g.ok());
+  // every other server's bitmaps are one flip away from. At d = 1 that is
+  // the 2-server scheme: server 1 gets the seed's subset with the target
+  // flipped.
   const size_t index = 57;
-  Rng rng(13);
-  Rng shadow(13);
-  auto queries = BuildHypercubeQueries(*g, index, &rng);
-  ASSERT_TRUE(queries.ok());
-  ASSERT_EQ(queries->size(), 4u);
-  EXPECT_TRUE((*queries)[0].seed_only);
-  const auto base = ExpandAxisSelections(shadow.NextU64(), *g);
-  const auto coords = g->Coordinates(index);
-  for (size_t s = 1; s < 4; ++s) {
-    const auto& q = (*queries)[s];
-    EXPECT_FALSE(q.seed_only);
-    ASSERT_EQ(q.axis_bits.size(), 2u);
-    for (size_t k = 0; k < 2; ++k) {
-      auto expected = base[k];
-      if ((s >> k) & 1u) FlipSelectionBit(&expected, coords[k]);
-      EXPECT_EQ(q.axis_bits[k], expected) << "s=" << s << " k=" << k;
+  for (size_t d : {1u, 2u}) {
+    auto g = HypercubeGeometry::Balanced(100, d);
+    ASSERT_TRUE(g.ok());
+    Rng rng(13);
+    Rng shadow(13);
+    auto queries = BuildHypercubeQueries(*g, index, &rng);
+    ASSERT_TRUE(queries.ok());
+    ASSERT_EQ(queries->size(), size_t{1} << d);
+    EXPECT_TRUE((*queries)[0].seed_only);
+    const auto base = ExpandAxisSelections(shadow.NextU64(), *g);
+    const auto coords = g->Coordinates(index);
+    for (size_t s = 1; s < queries->size(); ++s) {
+      const auto& q = (*queries)[s];
+      EXPECT_FALSE(q.seed_only);
+      ASSERT_EQ(q.axis_bits.size(), d);
+      for (size_t k = 0; k < d; ++k) {
+        auto expected = base[k];
+        if ((s >> k) & 1u) FlipSelectionBit(&expected, coords[k]);
+        EXPECT_EQ(q.axis_bits[k], expected)
+            << "d=" << d << " s=" << s << " k=" << k;
+      }
     }
   }
 }
@@ -395,8 +412,8 @@ TEST(EpochRecursivePirTest, RecursiveReaderServesFlipsAndInvalidates) {
   EpochConfig config;
   config.k = 3;
   config.qi_cols = {0, 1};
-  // Large enough that the seed's fixed 64-bit overhead amortizes: flat
-  // ships 2n = 400 bits per read, recursive 64 + 3*d*side.
+  // Large enough that the seed's fixed 64-bit overhead amortizes: d = 1
+  // ships 64 + n = 264 bits per read, d = 2 ships 64 + 3*2*15 = 154.
   auto db = EpochedDatabase::Create(MakeClinicalTrial(200, 9), config, &wal,
                                     &store);
   ASSERT_TRUE(db.ok());
@@ -406,11 +423,11 @@ TEST(EpochRecursivePirTest, RecursiveReaderServesFlipsAndInvalidates) {
   options.preprocess = true;
   options.tenant_class = 1;
   EpochPirReader reader(db->manager(), options);
-  EpochPirReader flat_reader(db->manager());
+  EpochPirReader flat_reader(db->manager());  // d = 1, the 2-server scheme
   Rng rng(41);
   Rng flat_rng(43);
 
-  // Both schemes decode the same protected rows of the pinned epoch.
+  // Both dimensions decode the same protected rows of the pinned epoch.
   const auto expected = SnapshotRecords(db->Pin()->protected_table);
   for (size_t i : {0u, 5u, 23u}) {
     auto rec = reader.Read(i, &rng);
@@ -423,8 +440,23 @@ TEST(EpochRecursivePirTest, RecursiveReaderServesFlipsAndInvalidates) {
   EXPECT_GT(reader.preprocess_bytes(), 0u);
   EXPECT_EQ(reader.sessions().num_sessions(), 1u);
   EXPECT_EQ(reader.sessions().total_reads(), 3u);
-  // Recursive upload is well under the flat path's O(n) bits.
+  // d = 2 upload is well under d = 1's O(n) bits.
+  EXPECT_EQ(flat_reader.stats().upload_bits, 3 * (64 + 200u));
   EXPECT_LT(reader.stats().upload_bits, flat_reader.stats().upload_bits);
+
+  // A dimension outside [1, 8] is a typed refusal on the first read, never
+  // a silent fallback to another scheme.
+  for (size_t bad : {0u, 9u}) {
+    EpochPirOptions bad_options;
+    bad_options.dimensions = bad;
+    EpochPirReader bad_reader(db->manager(), bad_options);
+    Rng bad_rng(47);
+    auto refused = bad_reader.Read(0, &bad_rng);
+    ASSERT_FALSE(refused.ok()) << "d=" << bad;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << "d=" << bad;
+    EXPECT_EQ(bad_reader.replica_builds(), 0u);
+  }
 
   // Flip the epoch: the reader rebuilds replicas, re-preprocesses, and
   // invalidates stale session scratch, and reads stay correct.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "pir/it_pir.h"
+#include "pir/recursive_pir.h"
 #include "smc/paillier.h"
 #include "smc/secure_sum.h"
 #include "smc/shamir.h"
@@ -201,43 +202,39 @@ struct PirParam {
   size_t record_size;
 };
 
-class PirSweep : public ::testing::TestWithParam<PirParam> {};
+class PirSweep : public ::testing::TestWithParam<PirParam> {
+ protected:
+  /// Retrieves every index through RecursivePirRead over 2^d replicas.
+  void SweepAllIndices(size_t d, uint64_t seed) {
+    const auto [n, record_size] = GetParam();
+    Rng rng(seed);
+    std::vector<std::vector<uint8_t>> records(
+        n, std::vector<uint8_t>(record_size));
+    for (auto& r : records) {
+      for (auto& b : r) b = static_cast<uint8_t>(rng.NextU64());
+    }
+    auto g = HypercubeGeometry::Balanced(n, d);
+    ASSERT_TRUE(g.ok());
+    std::vector<XorPirServer> servers;
+    for (size_t s = 0; s < g->num_servers(); ++s) {
+      servers.push_back(*XorPirServer::Create(records));
+    }
+    std::vector<XorPirServer*> ptrs;
+    for (auto& server : servers) ptrs.push_back(&server);
+    for (size_t i = 0; i < n; ++i) {
+      auto got = RecursivePirRead(ptrs, *g, i, &rng);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, records[i]) << "d=" << d << " index " << i;
+    }
+  }
+};
 
 TEST_P(PirSweep, TwoServerCorrectForAllIndices) {
-  const auto [n, record_size] = GetParam();
-  Rng rng(n * 7 + record_size);
-  std::vector<std::vector<uint8_t>> records(n,
-                                            std::vector<uint8_t>(record_size));
-  for (auto& r : records) {
-    for (auto& b : r) b = static_cast<uint8_t>(rng.NextU64());
-  }
-  auto a = XorPirServer::Create(records);
-  auto b = XorPirServer::Create(records);
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (size_t i = 0; i < n; ++i) {
-    auto got = TwoServerPirRead(&*a, &*b, i, &rng);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, records[i]) << "index " << i;
-  }
+  SweepAllIndices(/*d=*/1, GetParam().n * 7 + GetParam().record_size);
 }
 
 TEST_P(PirSweep, FourServerCorrectForAllIndices) {
-  const auto [n, record_size] = GetParam();
-  Rng rng(n * 13 + record_size);
-  std::vector<std::vector<uint8_t>> records(n,
-                                            std::vector<uint8_t>(record_size));
-  for (auto& r : records) {
-    for (auto& b : r) b = static_cast<uint8_t>(rng.NextU64());
-  }
-  std::vector<XorPirServer> servers;
-  for (int i = 0; i < 4; ++i) servers.push_back(*XorPirServer::Create(records));
-  std::array<XorPirServer*, 4> ptrs{&servers[0], &servers[1], &servers[2],
-                                    &servers[3]};
-  for (size_t i = 0; i < n; ++i) {
-    auto got = FourServerCubePirRead(ptrs, i, &rng);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, records[i]) << "index " << i;
-  }
+  SweepAllIndices(/*d=*/2, GetParam().n * 13 + GetParam().record_size);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "pir/it_pir.h"
+#include "pir/recursive_pir.h"
 #include "querydb/query.h"
 #include "sdc/microaggregation.h"
 #include "service/batch_executor.h"
@@ -59,8 +60,10 @@ TEST(ParallelDeterminismTest, ShardedAnswerIsBitIdenticalToSerial) {
 }
 
 TEST(ParallelDeterminismTest, BatchReadMatchesSerialLoopAtAnyThreadCount) {
+  // 1021 x 40 B crosses the 32 KiB parallel threshold, so the pool shards
+  // each replica's sweep; batch items themselves run serially.
   const size_t n = 1021;
-  const size_t record_size = 24;
+  const size_t record_size = 40;
   auto records = MakeRecords(n, record_size, 21);
   std::vector<size_t> indices;
   Rng pick(22);
@@ -68,7 +71,9 @@ TEST(ParallelDeterminismTest, BatchReadMatchesSerialLoopAtAnyThreadCount) {
     indices.push_back(static_cast<size_t>(pick.UniformU64(n)));
   }
 
-  // Serial reference: a TwoServerPirRead loop from seed 23.
+  // Serial reference: a d = 1 RecursivePirRead loop from seed 23.
+  auto g = HypercubeGeometry::Balanced(n, 1);
+  ASSERT_TRUE(g.ok());
   auto ref_a = XorPirServer::Create(records);
   auto ref_b = XorPirServer::Create(records);
   ASSERT_TRUE(ref_a.ok() && ref_b.ok());
@@ -79,7 +84,8 @@ TEST(ParallelDeterminismTest, BatchReadMatchesSerialLoopAtAnyThreadCount) {
   PirStats ref_stats;
   for (size_t index : indices) {
     PirStats step;
-    auto got = TwoServerPirRead(&*ref_a, &*ref_b, index, &ref_rng, &step);
+    auto got = RecursivePirRead({&*ref_a, &*ref_b}, *g, index, &ref_rng,
+                                nullptr, &step);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, records[index]);
     ref_answers.push_back(std::move(*got));
@@ -96,7 +102,7 @@ TEST(ParallelDeterminismTest, BatchReadMatchesSerialLoopAtAnyThreadCount) {
     b->EnableObservationLog(8);
     Rng rng(23);
     PirStats stats;
-    auto answers = TwoServerPirBatchRead(&*a, &*b, indices, &rng, &pool,
+    auto answers = RecursivePirBatchRead({&*a, &*b}, *g, indices, &rng, &pool,
                                          &stats);
     ASSERT_TRUE(answers.ok());
     // Identical answers, communication accounting, counters, and
@@ -116,10 +122,12 @@ TEST(ParallelDeterminismTest, BatchReadMatchesSerialLoopAtAnyThreadCount) {
 }
 
 TEST(ParallelDeterminismTest, FailoverReadBatchIsThreadCountInvariant) {
-  // A corrupt server forces fast-path failures and serial-ladder fallbacks;
-  // the whole transcript (answers, counters, clock, server views) must
-  // still be independent of the worker count.
-  auto records = MakeRecords(257, 12, 31);
+  // A corrupt server forces failovers down the retry ladder; the whole
+  // transcript (answers, counters, clock, server views) must still be
+  // independent of the worker count, at d = 1 and d = 2. 2053 stored
+  // records of 12 + 8 checksum bytes cross the 32 KiB parallel threshold,
+  // so the pool shards every replica's sweep.
+  auto records = MakeRecords(2053, 12, 31);
   std::vector<size_t> indices;
   Rng pick(32);
   for (int i = 0; i < 24; ++i) {
@@ -134,15 +142,14 @@ TEST(ParallelDeterminismTest, FailoverReadBatchIsThreadCountInvariant) {
     uint64_t clock_now = 0;
     std::vector<uint64_t> queries_answered;
   };
-  auto run = [&records, &indices](size_t threads) {
+  auto run = [&records, &indices](size_t d, size_t threads) {
     SimClock clock;
-    auto client =
-        FailoverPirClient::Build(records, /*num_pairs=*/2, RetryPolicy{},
-                                 &clock, /*seed=*/33);
+    auto client = FailoverPirClient::BuildRecursive(
+        records, /*num_groups=*/2, d, RetryPolicy{}, &clock, /*seed=*/33);
     TRIPRIV_CHECK(client.ok());
     PirServerFault corrupt;
     corrupt.corrupt_rate = 1.0;
-    client->InjectFault(1, corrupt);  // pair 0, side B: always corrupts
+    client->InjectFault(1, corrupt);  // group 0, member 1: always corrupts
     ThreadPool pool(threads);
     RunResult out;
     auto results = client->ReadBatch(indices, Deadline(), &pool);
@@ -157,26 +164,29 @@ TEST(ParallelDeterminismTest, FailoverReadBatchIsThreadCountInvariant) {
     out.failovers = client->failovers();
     out.corrupt_detected = client->corrupt_answers_detected();
     out.clock_now = clock.now();
-    for (size_t s = 0; s < 4; ++s) {
+    for (size_t s = 0; s < 2 * client->group_size(); ++s) {
       out.queries_answered.push_back(client->server(s).queries_answered());
     }
     return out;
   };
 
-  const RunResult ref = run(0);
-  EXPECT_GT(ref.corrupt_detected, 0u);  // the fault actually fired
-  EXPECT_FALSE(ref.payloads.empty());
-  for (size_t threads : {1u, 2u, 8u}) {
-    const RunResult got = run(threads);
-    ASSERT_EQ(got.codes.size(), ref.codes.size());
-    for (size_t i = 0; i < ref.codes.size(); ++i) {
-      EXPECT_EQ(got.codes[i].code(), ref.codes[i].code()) << i;
+  for (size_t d : {1u, 2u}) {
+    const RunResult ref = run(d, 0);
+    EXPECT_GT(ref.corrupt_detected, 0u);  // the fault actually fired
+    EXPECT_FALSE(ref.payloads.empty());
+    for (size_t threads : {1u, 2u, 8u}) {
+      const RunResult got = run(d, threads);
+      ASSERT_EQ(got.codes.size(), ref.codes.size());
+      for (size_t i = 0; i < ref.codes.size(); ++i) {
+        EXPECT_EQ(got.codes[i].code(), ref.codes[i].code()) << i;
+      }
+      EXPECT_EQ(got.payloads, ref.payloads)
+          << "d=" << d << " threads=" << threads;
+      EXPECT_EQ(got.failovers, ref.failovers);
+      EXPECT_EQ(got.corrupt_detected, ref.corrupt_detected);
+      EXPECT_EQ(got.clock_now, ref.clock_now);
+      EXPECT_EQ(got.queries_answered, ref.queries_answered);
     }
-    EXPECT_EQ(got.payloads, ref.payloads) << "threads=" << threads;
-    EXPECT_EQ(got.failovers, ref.failovers);
-    EXPECT_EQ(got.corrupt_detected, ref.corrupt_detected);
-    EXPECT_EQ(got.clock_now, ref.clock_now);
-    EXPECT_EQ(got.queries_answered, ref.queries_answered);
   }
 }
 
@@ -250,16 +260,19 @@ TEST(ParallelDeterminismTest, QueryBatchMatchesSerialSubmitByteForByte) {
 }
 
 TEST(ParallelDeterminismTest, ServicePirBatchIsThreadCountInvariant) {
-  auto records = MakeRecords(128, 20, 41);
+  // 1500 stored records of 20 + 8 checksum bytes cross the 32 KiB parallel
+  // threshold, so the pool shards every replica's sweep.
+  auto records = MakeRecords(1500, 20, 41);
   const std::vector<size_t> indices = {5, 90, 5, 127, 0, 63};
 
-  auto run = [&records, &indices](size_t threads) {
+  auto run = [&records, &indices](size_t d, size_t threads) {
     MemWalIo wal;
     QueryServiceConfig config;
     auto service = QueryService::Create(PaperDataset2(), config, &wal);
     TRIPRIV_CHECK(service.ok());
     SimClock clock;
-    auto pir = FailoverPirClient::Build(records, 2, RetryPolicy{}, &clock, 43);
+    auto pir = FailoverPirClient::BuildRecursive(records, 2, d, RetryPolicy{},
+                                                 &clock, 43);
     TRIPRIV_CHECK(pir.ok());
     service->AttachPirBackend(&*pir);
     ThreadPool pool(threads);
@@ -273,12 +286,14 @@ TEST(ParallelDeterminismTest, ServicePirBatchIsThreadCountInvariant) {
     return payloads;
   };
 
-  const auto ref = run(0);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(ref[i], records[indices[i]]) << i;
-  }
-  for (size_t threads : {1u, 2u, 8u}) {
-    EXPECT_EQ(run(threads), ref) << "threads=" << threads;
+  for (size_t d : {1u, 2u}) {
+    const auto ref = run(d, 0);
+    for (size_t i = 0; i < indices.size(); ++i) {
+      EXPECT_EQ(ref[i], records[indices[i]]) << "d=" << d << " read " << i;
+    }
+    for (size_t threads : {1u, 2u, 8u}) {
+      EXPECT_EQ(run(d, threads), ref) << "d=" << d << " threads=" << threads;
+    }
   }
 }
 
