@@ -1,14 +1,15 @@
 // Experiment: Table 2 — the technology scoreboard.
 //
 // The paper scores 8 technology classes x 3 privacy dimensions
-// qualitatively. This harness *measures* each cell with the attack suites
-// of core/evaluator.h on a 400-record synthetic drug trial (4 numeric
-// quasi-identifiers) and prints measured vs claimed grades plus the
-// agreement summary EXPERIMENTS.md records.
+// qualitatively. This harness *measures* each cell with the attack
+// batteries of attack/scoreboard.h (the clinical preset) on a 400-record
+// synthetic drug trial (4 numeric quasi-identifiers), prints measured vs
+// claimed grades with the attack outcomes behind them, and exits 0 only
+// when every cell of all 9 rows agrees within one band.
 
 #include <cstdio>
 
-#include "core/evaluator.h"
+#include "attack/scoreboard.h"
 #include "table/datasets.h"
 
 int main() {
@@ -17,41 +18,29 @@ int main() {
               "scoring) ===\n");
   std::printf("scenario: synthetic hypertension trial, n=400, QIs = {age, "
               "height, weight, cholesterol}\n");
-  std::printf("attacks: record linkage (respondent), cell recovery within "
-              "2%% of range (owner),\n"
-              "         query-target guessing from the server view (user)\n\n");
+  std::printf("attacks: record linkage + disclosure (respondent), cell "
+              "recovery within 2%% of range (owner),\n"
+              "         query-log profiling + server-view guessing (user)\n\n");
 
-  PrivacyEvaluator::Options options;
-  options.seed = 7;
-  PrivacyEvaluator evaluator(MakeExtendedTrial(400, 7), options);
-  auto evals = evaluator.EvaluateAll();
-  if (!evals.ok()) {
-    std::printf("evaluation failed: %s\n", evals.status().ToString().c_str());
+  auto board = attack::RunEmpiricalTable2(
+      MakeExtendedTrial(400, 7), attack::ClinicalTable2Config(7), {});
+  if (!board.ok()) {
+    std::printf("evaluation failed: %s\n", board.status().ToString().c_str());
     return 1;
   }
-
-  std::printf("%s\n", PrivacyEvaluator::FormatScoreboard(*evals, true).c_str());
-
-  std::printf("raw protection scores in [0, 1]:\n");
-  std::printf("%-36s  %10s  %10s  %10s\n", "technology", "respondent", "owner",
-              "user");
-  for (const auto& eval : *evals) {
-    std::printf("%-36s  %10.3f  %10.3f  %10.3f\n",
-                TechnologyClassToString(eval.technology),
-                eval.scores.respondent, eval.scores.owner, eval.scores.user);
-  }
+  std::printf("%s\n", board->RenderText().c_str());
 
   size_t agreeing_cells = 0;
   size_t total_cells = 0;
-  for (const auto& eval : *evals) {
+  for (const attack::ScoreboardRow& row : board->rows()) {
     for (Dimension d : kAllDimensions) {
       ++total_cells;
-      if (GradesAgree(eval.ClaimedGrade(d), eval.MeasuredGrade(d))) {
+      if (GradesAgree(row.ClaimedGrade(d), row.MeasuredGrade(d))) {
         ++agreeing_cells;
       }
     }
   }
-  std::printf("\nagreement with the paper's Table 2 (within one grade band): "
+  std::printf("agreement with the paper's Table 2 (within one grade band): "
               "%zu / %zu cells\n",
               agreeing_cells, total_cells);
   return agreeing_cells == total_cells ? 0 : 1;

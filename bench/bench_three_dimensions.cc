@@ -14,8 +14,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "attack/scoreboard.h"
 #include "core/advisor.h"
-#include "core/evaluator.h"
 #include "pir/aggregate.h"
 #include "querydb/engine.h"
 #include "sdc/information_loss.h"
@@ -87,31 +87,15 @@ int main() {
   std::printf("\n%-40s  %6s  %6s  %6s  %8s  %10s  %12s\n", "deployment",
               "resp", "owner", "user", "IL1s", "query err", "query cost");
   for (const auto& dep : deployments) {
-    // Empirical scores via the same attack primitives the Table 2
-    // evaluator uses.
+    // Empirical scores via the linkage and owner-recovery attacks of the
+    // Table 2 scoreboard.
     auto linkage = DistanceLinkageAttack(data, *dep.release);
     if (!linkage.ok()) return 1;
-    double owner_recovered = 0.0;
-    {
-      size_t recovered = 0;
-      size_t total = 0;
-      for (size_t c = 0; c < data.num_columns(); ++c) {
-        if (data.schema().attribute(c).type == AttributeType::kCategorical) {
-          for (size_t r = 0; r < data.num_rows(); ++r) {
-            ++total;
-            if (data.at(r, c) == dep.release->at(r, c)) ++recovered;
-          }
-        } else {
-          auto rate = IntervalDisclosureRate(data, *dep.release, c, 2.0);
-          if (!rate.ok()) return 1;
-          recovered += static_cast<size_t>(*rate * data.num_rows());
-          total += data.num_rows();
-        }
-      }
-      owner_recovered = static_cast<double>(recovered) / total;
-    }
+    auto recovery =
+        attack::RunDatasetRecoveryAttack(data, *dep.release, 2.0, {});
+    if (!recovery.ok()) return 1;
     const double resp_score = 1.0 - linkage->correct_fraction;
-    const double owner_score = 1.0 - owner_recovered;
+    const double owner_score = recovery->protection_score();
     const double user_score = dep.pir ? 1.0 : 0.0;  // PIR hides predicates
 
     auto loss = MeasureInformationLoss(data, *dep.release, all_numeric);

@@ -1,13 +1,13 @@
 // The full framework, end to end: pick technologies per required privacy
 // dimension, deploy the Section 6 recipe, and verify all three dimensions
-// empirically with the Table 2 evaluator.
+// empirically with the attack-measured Table 2 scoreboard.
 //
 // Build & run:  ./build/examples/three_dimensions
 
 #include <cstdio>
 
+#include "attack/scoreboard.h"
 #include "core/advisor.h"
-#include "core/evaluator.h"
 #include "pir/aggregate.h"
 #include "sdc/anonymity.h"
 #include "table/datasets.h"
@@ -62,21 +62,18 @@ int main() {
                 *avg);
   }
 
-  // 3. Verify all eight Table 2 rows empirically on this registry.
+  // 3. Verify every Table 2 row empirically on this registry.
   std::printf("--- empirical Table 2 on this registry\n");
-  PrivacyEvaluator::Options options;
-  options.seed = 11;
-  PrivacyEvaluator evaluator(registry, options);
-  auto evals = evaluator.EvaluateAll();
-  if (!evals.ok()) return 1;
-  std::printf("%s", PrivacyEvaluator::FormatScoreboard(*evals, false).c_str());
+  auto board = attack::RunEmpiricalTable2(registry,
+                                          attack::ClinicalTable2Config(11), {});
+  if (!board.ok()) return 1;
+  std::printf("%s", board->RenderText().c_str());
+  const attack::ScoreboardRow& deployed =
+      board->row(TechnologyClass::kGenericNonCryptoPpdmPlusPir);
   std::printf("\nthe deployed class (generic non-crypto PPDM + PIR) scores:\n");
-  for (const auto& eval : *evals) {
-    if (eval.technology == TechnologyClass::kGenericNonCryptoPpdmPlusPir) {
-      std::printf("  respondent %.2f, owner %.2f, user %.2f — all three "
-                  "dimensions simultaneously.\n",
-                  eval.scores.respondent, eval.scores.owner, eval.scores.user);
-    }
-  }
+  std::printf("  respondent %.2f, owner %.2f, user %.2f — all three "
+              "dimensions simultaneously.\n",
+              deployed.cells[0].score(), deployed.cells[1].score(),
+              deployed.cells[2].score());
   return 0;
 }

@@ -8,52 +8,12 @@
 #include <unordered_map>
 
 #include "attack/equivocation.h"
-#include "stats/descriptive.h"
+#include "sdc/risk.h"
 #include "util/thread_pool.h"
 
 namespace tripriv {
 namespace attack {
 namespace {
-
-/// Mirrors sdc/risk.cc: standardize both matrices by the ORIGINAL's column
-/// means/sds (the attacker's external data defines the scale). Must stay
-/// arithmetically identical to risk.cc StandardizeJointly for the
-/// reconciliation contract.
-void StandardizeJointly(std::vector<std::vector<double>>* a,
-                        std::vector<std::vector<double>>* b) {
-  if (a->empty()) return;
-  const size_t d = (*a)[0].size();
-  for (size_t j = 0; j < d; ++j) {
-    std::vector<double> col(a->size());
-    for (size_t i = 0; i < a->size(); ++i) col[i] = (*a)[i][j];
-    const double mean = Mean(col);
-    const double sd = col.size() >= 2 ? SampleStddev(col) : 0.0;
-    const double scale = sd > 0.0 ? 1.0 / sd : 1.0;
-    for (auto& row : *a) row[j] = (row[j] - mean) * scale;
-    for (auto& row : *b) row[j] = (row[j] - mean) * scale;
-  }
-}
-
-/// Nearest-neighbor tie set of `probe` among `candidates` (indices into
-/// `rel`), with risk.cc's exact epsilon logic. `candidates` must be in
-/// ascending order so the scan order — and therefore the floating-point
-/// trajectory of `best` — is independent of how candidates were gathered.
-std::vector<size_t> TieSet(const std::vector<double>& probe,
-                           const std::vector<std::vector<double>>& rel,
-                           const std::vector<size_t>& candidates) {
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<size_t> ties;
-  for (size_t j : candidates) {
-    const double d = SquaredDistance(probe, rel[j]);
-    if (d < best - 1e-12) {
-      best = d;
-      ties.assign(1, j);
-    } else if (std::fabs(d - best) <= 1e-12) {
-      ties.push_back(j);
-    }
-  }
-  return ties;
-}
 
 /// Blocked candidate index: masked rows bucketed on a per-column grid.
 class MaskedGrid {
@@ -175,12 +135,12 @@ Status LinkRows(const std::vector<std::vector<double>>& ext,
         for (size_t radius = 0; radius <= config.max_radius; ++radius) {
           const std::vector<size_t> candidates = grid->Gather(ext[i], radius);
           if (!candidates.empty()) {
-            ties = TieSet(ext[i], rel, candidates);
+            ties = NearestTies(ext[i], rel, candidates);
             break;
           }
         }
       } else {
-        ties = TieSet(ext[i], rel, all_rows);
+        ties = NearestTies(ext[i], rel, all_rows);
       }
       LinkedRow& out = (*rows)[i];
       out.tie_count = ties.size();
@@ -234,8 +194,9 @@ Result<AttackOutcome> RunRecordLinkageAttack(const DataTable& original,
   TRIPRIV_RETURN_IF_ERROR(
       LinkRows(ext, rel, {}, config, ctx.pool, &rows));
 
-  // Serial index-order merge — the accumulation order risk.cc uses, so
-  // exact mode reproduces its expected_correct bitwise.
+  // Serial index-order merge — the accumulation order of sdc/risk.h
+  // DistanceLinkageAttack, so exact mode reproduces its expected_correct
+  // bitwise.
   AttackOutcome outcome;
   outcome.attack = "record_linkage";
   outcome.dimension = Dimension::kRespondent;

@@ -8,15 +8,15 @@
 //   * RecordLinkageAttack links each original record to its nearest masked
 //     record in standardized QI space; a link is a success when it lands on
 //     the true row, with fractional 1/|tie set| credit for tied distances.
-//     In exact mode (block_bins = 0) the arithmetic — joint
-//     standardization by the original's column moments, the 1e-12 tie
-//     epsilon, the per-row credit and its index-order accumulation — is
-//     the SAME computation as sdc/risk.h DistanceLinkageAttack, so the two
-//     modules agree bitwise (the S1 reconciliation test asserts exactly
-//     that). In blocked mode (block_bins > 0) candidates come from a grid
-//     over masked QI space with progressive neighborhood expansion, which
-//     scales the attack to 10^6 rows at slightly conservative (never
-//     inflated) success rates.
+//     Both modes run sdc/risk.h's nearest-neighbour core: StandardizeJointly
+//     (the original's column moments) and NearestTies (the 1e-12 tie
+//     epsilon). In exact mode (block_bins = 0) every masked row is a
+//     candidate and the per-row credit accumulates in index order, exactly
+//     as sdc/risk.h DistanceLinkageAttack does, so the two agree bitwise
+//     (LinkageReconciliationTest asserts it). In blocked mode
+//     (block_bins > 0) candidates come from a grid over masked QI space with
+//     progressive neighborhood expansion, which scales the attack to 10^6
+//     rows at slightly conservative (never inflated) success rates.
 //
 //   * AttributeDisclosureAttack goes one step further: after linking, the
 //     adversary reads the confidential attribute off the linked rows and

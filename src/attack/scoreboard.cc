@@ -8,7 +8,6 @@
 #include "attack/linkage.h"
 #include "attack/nussbaum.h"
 #include "attack/profiling.h"
-#include "core/evaluator.h"
 #include "ppdm/randomized_response.h"
 #include "sdc/mondrian.h"
 #include "sdc/noise.h"
@@ -59,7 +58,7 @@ std::vector<size_t> NumericCols(const DataTable& t) {
 
 /// Mondrian requires every schema QI to be numeric; the census table has
 /// categorical QIs (sex, region). This view promotes every numeric column
-/// (including confidential income — condensation-style generic PPDM
+/// (including the confidential payload — condensation-style generic PPDM
 /// generalizes the whole numeric payload) to quasi-identifier and demotes
 /// the categorical QIs to non-confidential so Mondrian can run.
 Result<DataTable> MondrianView(const DataTable& original) {
@@ -95,63 +94,13 @@ Result<DataTable> MaskCategoricalConfidentials(DataTable release, double keep,
   return release;
 }
 
-/// Owner-dimension dataset recovery: fraction of original cells the
-/// release pins down (exact match for categoricals, the recovery window
-/// for numerics — evaluator.cc's owner attack restated as an
-/// AttackOutcome). Equivocation models the residual per-cell uncertainty
-/// at window granularity: a recovered cell is pinned (0 bits), an
-/// unrecovered numeric cell still hides among ~100/window window-widths.
-Result<AttackOutcome> RunDatasetRecoveryAttack(const DataTable& original,
-                                               const DataTable& release,
-                                               double window_percent,
-                                               const AttackContext& ctx) {
-  if (original.num_rows() != release.num_rows()) {
-    return Status::InvalidArgument("recovery attack needs aligned tables");
-  }
-  double recovered = 0.0;
-  size_t total = 0;
-  for (size_t c = 0; c < original.num_columns(); ++c) {
-    if (original.schema().attribute(c).type == AttributeType::kCategorical) {
-      size_t matches = 0;
-      for (size_t r = 0; r < original.num_rows(); ++r) {
-        if (original.at(r, c) == release.at(r, c)) ++matches;
-      }
-      recovered += static_cast<double>(matches);
-    } else {
-      TRIPRIV_ASSIGN_OR_RETURN(
-          double rate,
-          IntervalDisclosureRate(original, release, c, window_percent));
-      recovered += rate * static_cast<double>(original.num_rows());
-    }
-    total += original.num_rows();
-  }
-  AttackOutcome outcome;
-  outcome.attack = "dataset_recovery";
-  outcome.dimension = Dimension::kOwner;
-  outcome.trials = total;
-  outcome.successes = recovered;
-  outcome.records_recovered = recovered;
-  outcome.records_total = total;
-  outcome.prior_bits =
-      UniformBits(static_cast<size_t>(std::max(2.0, 100.0 / window_percent)));
-  outcome.equivocation_bits =
-      (1.0 - outcome.success_rate()) * outcome.prior_bits;
-  outcome.note = "window=" + FormatFixed(window_percent) + "%";
-  return FinishOutcome(std::move(outcome), ctx);
-}
-
 /// Crypto-PPDM transcript scan: one party records the secure-sum wire
 /// transcript and greps it for verbatim original cells. Hash-set
 /// membership keeps the scan O(transcript + cells) at census scale.
 Result<AttackOutcome> RunTranscriptScanAttack(const DataTable& original,
                                               size_t parties, uint64_t seed,
                                               const AttackContext& ctx) {
-  std::vector<size_t> numeric;
-  for (size_t c = 0; c < original.num_columns(); ++c) {
-    if (original.schema().attribute(c).type != AttributeType::kCategorical) {
-      numeric.push_back(c);
-    }
-  }
+  const std::vector<size_t> numeric = NumericCols(original);
   PartyNetwork net(parties, seed);
   std::vector<std::vector<uint64_t>> local(
       parties, std::vector<uint64_t>(numeric.size() + 1, 0));
@@ -347,24 +296,92 @@ std::string Scoreboard::RenderJson() const {
   return json;
 }
 
-Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
-                                      const AttackContext& ctx) {
-  if (config.rows < 100) {
-    return Status::InvalidArgument("empirical Table 2 needs >= 100 rows");
+Result<AttackOutcome> RunDatasetRecoveryAttack(const DataTable& original,
+                                               const DataTable& release,
+                                               double window_percent,
+                                               const AttackContext& ctx) {
+  if (original.num_rows() != release.num_rows()) {
+    return Status::InvalidArgument("recovery attack needs aligned tables");
   }
+  // A zero window would put 100 / 0 = +inf window-widths in the prior.
+  if (!(window_percent > 0.0 && window_percent <= 100.0)) {
+    return Status::InvalidArgument(
+        "recovery window must be in (0, 100] percent");
+  }
+  double recovered = 0.0;
+  size_t total = 0;
+  for (size_t c = 0; c < original.num_columns(); ++c) {
+    if (original.schema().attribute(c).type == AttributeType::kCategorical) {
+      size_t matches = 0;
+      for (size_t r = 0; r < original.num_rows(); ++r) {
+        if (original.at(r, c) == release.at(r, c)) ++matches;
+      }
+      recovered += static_cast<double>(matches);
+    } else {
+      TRIPRIV_ASSIGN_OR_RETURN(
+          double rate,
+          IntervalDisclosureRate(original, release, c, window_percent));
+      recovered += rate * static_cast<double>(original.num_rows());
+    }
+    total += original.num_rows();
+  }
+  AttackOutcome outcome;
+  outcome.attack = "dataset_recovery";
+  outcome.dimension = Dimension::kOwner;
+  outcome.trials = total;
+  outcome.successes = recovered;
+  outcome.records_recovered = recovered;
+  outcome.records_total = total;
+  outcome.prior_bits =
+      UniformBits(static_cast<size_t>(std::max(2.0, 100.0 / window_percent)));
+  outcome.equivocation_bits =
+      (1.0 - outcome.success_rate()) * outcome.prior_bits;
+  outcome.note = "window=" + FormatFixed(window_percent) + "%";
+  return FinishOutcome(std::move(outcome), ctx);
+}
+
+EmpiricalTable2Config ClinicalTable2Config(uint64_t seed) {
+  EmpiricalTable2Config config;
+  config.seed = seed;
+  config.linkage_block_bins = 0;
+  config.sdc_k = 4;
+  config.noise_alpha = 0.4;
+  config.fingerprint_marks = 256;
+  return config;
+}
+
+Result<Scoreboard> RunEmpiricalTable2(const DataTable& original,
+                                      const EmpiricalTable2Config& config,
+                                      const AttackContext& ctx) {
+  if (original.num_rows() < 10) {
+    return Status::FailedPrecondition("empirical Table 2 needs >= 10 rows");
+  }
+  const std::vector<size_t> qi_cols = NumericQiCols(original);
+  if (qi_cols.empty()) {
+    return Status::InvalidArgument(
+        "empirical Table 2 needs a numeric quasi-identifier");
+  }
+  // The disclosure, differencing and bucket target: the first numeric
+  // confidential attribute in schema order (income on the census).
+  const Schema& schema = original.schema();
+  const std::vector<size_t> confidential = schema.ConfidentialIndices();
+  const auto target =
+      std::find_if(confidential.begin(), confidential.end(), [&](size_t c) {
+        return schema.attribute(c).type != AttributeType::kCategorical;
+      });
+  if (target == confidential.end()) {
+    return Status::InvalidArgument(
+        "empirical Table 2 needs a numeric confidential attribute");
+  }
+  const size_t target_col = *target;
   // The config's seed governs end to end so a scoreboard is reproducible
-  // from its config alone.
+  // from its inputs alone.
   AttackContext actx = ctx;
   actx.seed = config.seed;
 
-  const DataTable original = MakeCensusScale(config.rows, config.seed);
-  const std::vector<size_t> qi_cols = NumericQiCols(original);
-  TRIPRIV_ASSIGN_OR_RETURN(const size_t income_col,
-                           original.schema().IndexOf("income"));
-
-  LinkageConfig blocked;
-  blocked.qi_cols = qi_cols;
-  blocked.block_bins = config.linkage_block_bins;
+  LinkageConfig link_config;
+  link_config.qi_cols = qi_cols;
+  link_config.block_bins = config.linkage_block_bins;
 
   Scoreboard board;
 
@@ -377,10 +394,10 @@ Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
   {
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome linkage,
-        RunRecordLinkageAttack(original, sdc_release.table, blocked, actx));
+        RunRecordLinkageAttack(original, sdc_release.table, link_config, actx));
     AttributeDisclosureConfig disclosure;
-    disclosure.linkage = blocked;
-    disclosure.confidential_col = income_col;
+    disclosure.linkage = link_config;
+    disclosure.confidential_col = target_col;
     disclosure.window_percent = config.disclosure_window_percent;
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome attr,
@@ -413,10 +430,10 @@ Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
                                      config.seed));
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome linkage,
-        RunRecordLinkageAttack(original, noise_release, blocked, actx));
+        RunRecordLinkageAttack(original, noise_release, link_config, actx));
     AttributeDisclosureConfig disclosure;
-    disclosure.linkage = blocked;
-    disclosure.confidential_col = income_col;
+    disclosure.linkage = link_config;
+    disclosure.confidential_col = target_col;
     disclosure.window_percent = config.disclosure_window_percent;
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome attr,
@@ -424,7 +441,7 @@ Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
                                      actx));
     MinMaxQueryConfig minmax;
     minmax.order_col = qi_cols[0];
-    minmax.target_col = income_col;
+    minmax.target_col = target_col;
     minmax.window = config.minmax_window;
     minmax.window_percent = config.disclosure_window_percent;
     TRIPRIV_ASSIGN_OR_RETURN(
@@ -458,9 +475,9 @@ Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
                                      config.seed ^ 0x6E6Eull));
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome linkage,
-        RunRecordLinkageAttack(original, mondrian.table, blocked, actx));
+        RunRecordLinkageAttack(original, mondrian.table, link_config, actx));
     BucketReconstructionConfig bucket;
-    bucket.target_col = income_col;
+    bucket.target_col = target_col;
     bucket.window_percent = config.disclosure_window_percent;
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome reconstruction,
@@ -495,7 +512,7 @@ Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
   {
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome linkage,
-        RunRecordLinkageAttack(original, original, blocked, actx));
+        RunRecordLinkageAttack(original, original, link_config, actx));
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome recovery,
         RunDatasetRecoveryAttack(original, original,
@@ -527,7 +544,7 @@ Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
     }
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome linkage,
-        RunRecordLinkageAttack(original, marked, blocked, actx));
+        RunRecordLinkageAttack(original, marked, link_config, actx));
     board.Add(TechnologyClass::kFingerprinting, linkage);
 
     for (CollusionStrategy strategy :
@@ -602,10 +619,19 @@ Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
             StructuralOutcome("analysis_family_visibility", Dimension::kUser,
                               kUseSpecificQueryVisibility,
                               "supported analysis family is public "
-                              "(core/evaluator.h constant)",
+                              "(attack/scoreboard.h constant)",
                               actx));
 
   return board;
+}
+
+Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
+                                      const AttackContext& ctx) {
+  if (config.rows < 100) {
+    return Status::InvalidArgument("empirical Table 2 needs >= 100 rows");
+  }
+  return RunEmpiricalTable2(MakeCensusScale(config.rows, config.seed), config,
+                            ctx);
 }
 
 }  // namespace attack

@@ -1,17 +1,17 @@
 // The empirical Table 2: measured grades from real attacks.
 //
-// core/evaluator.h scores Table 2 with small-scale heuristics; this module
-// regenerates it from the adversary harness at census scale. For each
-// technology class the scoreboard deploys the protection on a synthetic
-// census table (10^5-10^6 rows), runs the attack battery that models each
+// The one engine that scores Table 2. For each technology class the
+// scoreboard deploys the protection on an original table — the paper's
+// clinical-trial running example (ClinicalTable2Config) or a synthetic
+// census of 10^5-10^6 rows — runs the attack battery that models each
 // dimension's adversary, and converts attacker success into protection
 // scores and grades:
 //
 //   dimension score = mean over the cell's attacks of (1 - success rate)
-//   grade           = GradeFromScore (same bands the evaluator uses)
+//   grade           = GradeFromScore (core/framework.h bands)
 //
 // Batteries per dimension:
-//   respondent — blocked record linkage + attribute disclosure for masked
+//   respondent — record linkage + attribute disclosure for masked
 //     releases; min/max differencing for the query-restricted use-specific
 //     deployment; bucket reconstruction for grouped (k-anonymous)
 //     releases; transcript leak scan for crypto PPDM.
@@ -24,7 +24,7 @@
 //     query exposure is structural (crypto: the joint analysis is known to
 //     all parties; use-specific + PIR: the analysis family is known).
 //
-// Everything is deterministic in (config, seed): serial draws, ParallelFor
+// Everything is deterministic in (table, config): serial draws, ParallelFor
 // fan-outs with slot ownership, serial merges — RenderText and RenderJson
 // are byte-identical at 0/1/2/8 threads, which tools/make_table2.sh
 // asserts in CI.
@@ -38,9 +38,16 @@
 #include "attack/attack.h"
 #include "attack/fingerprint.h"
 #include "core/technology.h"
+#include "table/data_table.h"
 
 namespace tripriv {
 namespace attack {
+
+/// Fraction of query information considered visible when the owner knows
+/// the analysis family but not the parameters (Section 5's rationale for
+/// the "medium" user grade of use-specific non-crypto PPDM + PIR). The one
+/// modeling constant of the scoreboard that stands in for a measurement.
+inline constexpr double kUseSpecificQueryVisibility = 0.5;
 
 /// Measured state of one (technology, dimension) cell.
 struct ScoreboardCell {
@@ -85,8 +92,9 @@ class Scoreboard {
 
 /// One full empirical Table 2 run.
 struct EmpiricalTable2Config {
-  /// Census rows (table/datasets.h MakeCensusScale). CI runs 10^6; tier-1
-  /// tests use 10^3-10^4.
+  /// Census rows (table/datasets.h MakeCensusScale) for the census
+  /// overload; ignored when the caller supplies the table. CI runs 10^6;
+  /// tier-1 tests use 10^3-10^4.
   size_t rows = 10000;
   uint64_t seed = 7;
 
@@ -100,11 +108,11 @@ struct EmpiricalTable2Config {
   size_t crypto_parties = 4;     ///< secure-sum shard owners
 
   // --- attack knobs ---
-  size_t linkage_block_bins = 24;     ///< blocked-linkage grid resolution
+  /// Blocked-linkage grid resolution; 0 = exact all-pairs linkage.
+  size_t linkage_block_bins = 24;
   double disclosure_window_percent = 5.0;
   size_t minmax_window = 5;           ///< query-size restriction k
-  /// Owner-attack recovery window; matches the evaluator's default so the
-  /// measured owner column is comparable with core/evaluator.h.
+  /// Owner-attack recovery window (percent of each numeric column's range).
   double recovery_window_percent = 2.0;
 
   // --- user-dimension workload ---
@@ -121,13 +129,41 @@ struct EmpiricalTable2Config {
   size_t fingerprint_trials = 4;
 };
 
-/// Deploys every technology, runs every battery, returns the filled
-/// scoreboard. Uses ctx.pool for fan-outs and ctx.metrics for outcome
-/// instruments; deterministic in (config, ctx.seed is ignored — the
-/// config's seed governs so a scoreboard is reproducible from its config
-/// alone).
+/// The clinical-trial preset: the census defaults with exact linkage,
+/// MDAV k = 4, noise alpha = 0.4 and 256 fingerprint marks (the codec
+/// refuses more marks than the trial's embeddable integer cells: 400 rows
+/// x 5 integer columns = 2000).
+EmpiricalTable2Config ClinicalTable2Config(uint64_t seed);
+
+/// Deploys every technology on `original`, runs every battery, returns the
+/// filled scoreboard. `original` must hold >= 10 rows (FailedPrecondition
+/// otherwise), at least one numeric quasi-identifier (the linkage surface)
+/// and at least one numeric confidential attribute (InvalidArgument
+/// otherwise); the first numeric confidential attribute in schema order is
+/// the disclosure, differencing and bucket target. config.rows is ignored.
+/// Uses ctx.pool for fan-outs and ctx.metrics for outcome instruments;
+/// deterministic in (original, config) — ctx.seed is ignored, the config's
+/// seed governs so a scoreboard is reproducible from its inputs alone.
+Result<Scoreboard> RunEmpiricalTable2(const DataTable& original,
+                                      const EmpiricalTable2Config& config,
+                                      const AttackContext& ctx);
+
+/// The census shorthand: RunEmpiricalTable2 over
+/// MakeCensusScale(config.rows, config.seed); needs config.rows >= 100.
 Result<Scoreboard> RunEmpiricalTable2(const EmpiricalTable2Config& config,
                                       const AttackContext& ctx);
+
+/// Owner-dimension dataset recovery: the fraction of original cells the
+/// row-aligned `release` pins down (exact match for categoricals, within
+/// +-window_percent of the column range for numerics, as
+/// sdc/risk.h IntervalDisclosureRate). Equivocation models the residual
+/// per-cell uncertainty at window granularity: a recovered cell is pinned
+/// (0 bits), an unrecovered numeric cell still hides among ~100/window
+/// window-widths. `window_percent` must lie in (0, 100].
+Result<AttackOutcome> RunDatasetRecoveryAttack(const DataTable& original,
+                                               const DataTable& release,
+                                               double window_percent,
+                                               const AttackContext& ctx);
 
 }  // namespace attack
 }  // namespace tripriv

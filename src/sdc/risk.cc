@@ -2,15 +2,13 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "sdc/equivalence.h"
 #include "stats/descriptive.h"
 
 namespace tripriv {
-namespace {
 
-/// Standardizes `a` and `b` jointly with the column means/sds of `a` (the
-/// attacker's external data defines the scale).
 void StandardizeJointly(std::vector<std::vector<double>>* a,
                         std::vector<std::vector<double>>* b) {
   if (a->empty()) return;
@@ -26,7 +24,22 @@ void StandardizeJointly(std::vector<std::vector<double>>* a,
   }
 }
 
-}  // namespace
+std::vector<size_t> NearestTies(const std::vector<double>& probe,
+                                const std::vector<std::vector<double>>& rel,
+                                const std::vector<size_t>& candidates) {
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<size_t> ties;
+  for (size_t j : candidates) {
+    const double d = SquaredDistance(probe, rel[j]);
+    if (d < best - 1e-12) {
+      best = d;
+      ties.assign(1, j);
+    } else if (std::fabs(d - best) <= 1e-12) {
+      ties.push_back(j);
+    }
+  }
+  return ties;
+}
 
 Result<LinkageResult> DistanceLinkageAttack(const DataTable& original,
                                             const DataTable& masked,
@@ -42,21 +55,14 @@ Result<LinkageResult> DistanceLinkageAttack(const DataTable& original,
   TRIPRIV_ASSIGN_OR_RETURN(auto rel, masked.NumericMatrix(qi_cols));
   StandardizeJointly(&ext, &rel);
 
+  std::vector<size_t> all_rows(rel.size());
+  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
+
   LinkageResult result;
   result.total = original.num_rows();
   double expected_correct = 0.0;
   for (size_t i = 0; i < ext.size(); ++i) {
-    double best = std::numeric_limits<double>::infinity();
-    std::vector<size_t> ties;
-    for (size_t j = 0; j < rel.size(); ++j) {
-      const double d = SquaredDistance(ext[i], rel[j]);
-      if (d < best - 1e-12) {
-        best = d;
-        ties.assign(1, j);
-      } else if (std::fabs(d - best) <= 1e-12) {
-        ties.push_back(j);
-      }
-    }
+    const std::vector<size_t> ties = NearestTies(ext[i], rel, all_rows);
     for (size_t j : ties) {
       if (j == i) {
         expected_correct += 1.0 / static_cast<double>(ties.size());

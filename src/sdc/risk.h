@@ -36,6 +36,22 @@ struct LinkageResult {
   double correct_fraction = 0.0;  ///< expected_correct / total
 };
 
+/// Standardizes `a` and `b` jointly, column by column, with the means and
+/// sample sds of `a` (the attacker's external data defines the scale; a
+/// constant column is only centered). Both matrices must share a width.
+void StandardizeJointly(std::vector<std::vector<double>>* a,
+                        std::vector<std::vector<double>>* b);
+
+/// The nearest-neighbour tie set of `probe` among `candidates` (indices
+/// into `rel`): the candidates whose squared distance is within 1e-12 of
+/// the running minimum. `candidates` must be ascending, so the scan order
+/// — and with it the floating-point trajectory of the running minimum —
+/// does not depend on how the candidates were gathered. The linkage core
+/// shared by DistanceLinkageAttack and src/attack/linkage.h.
+std::vector<size_t> NearestTies(const std::vector<double>& probe,
+                                const std::vector<std::vector<double>>& rel,
+                                const std::vector<size_t>& candidates);
+
 /// Distance-based record linkage. `original` and `masked` must have the
 /// same row count with row i of both referring to the same respondent. For
 /// each original record, the attack links the nearest masked record on the

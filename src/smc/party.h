@@ -5,8 +5,8 @@
 // messages through a PartyNetwork that records every message. The
 // transcript is the basis of the owner-privacy measurement — a protocol
 // leaks exactly what its transcript reveals to the other parties, so the
-// evaluator can check that only masked values and final aggregates ever
-// cross party boundaries.
+// scoreboard's transcript scan (attack/scoreboard.h) can check that only
+// masked values and final aggregates ever cross party boundaries.
 //
 // Production owners fail: messages drop, duplicate, reorder, corrupt, and
 // whole parties crash. A deterministic, seed-driven FaultPlan injects those

@@ -152,29 +152,40 @@ TEST(AttackDeterminismTest, ProfilingAndSelectionView) {
 }
 
 TEST(AttackDeterminismTest, EmpiricalTable2RendersByteIdentical) {
-  EmpiricalTable2Config config;
-  config.rows = 800;
-  config.fingerprint_marks = 512;
-  config.fingerprint_trials = 2;
-  config.traffic_windows = 6;
-  config.selection_trials = 8;
-  std::string text_ref;
-  std::string json_ref;
-  for (size_t threads : kThreadCounts) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-    AttackContext ctx;
-    ctx.pool = pool.get();
-    auto board = RunEmpiricalTable2(config, ctx);
-    ASSERT_TRUE(board.ok()) << board.status().ToString();
-    if (text_ref.empty()) {
-      text_ref = board->RenderText();
-      json_ref = board->RenderJson();
-    } else {
-      EXPECT_EQ(board->RenderText(), text_ref)
-          << "at " << threads << " threads";
-      EXPECT_EQ(board->RenderJson(), json_ref)
-          << "at " << threads << " threads";
+  // Two inputs: the census shorthand and a caller's table (the clinical
+  // trial under its preset, exact linkage).
+  EmpiricalTable2Config census;
+  census.rows = 800;
+  census.fingerprint_marks = 512;
+  census.fingerprint_trials = 2;
+  census.traffic_windows = 6;
+  census.selection_trials = 8;
+  EmpiricalTable2Config clinical = ClinicalTable2Config(11);
+  clinical.traffic_windows = 6;
+  clinical.selection_trials = 8;
+  const DataTable trial = MakeExtendedTrial(200, 5);
+  for (bool census_run : {true, false}) {
+    std::string text_ref;
+    std::string json_ref;
+    for (size_t threads : kThreadCounts) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      AttackContext ctx;
+      ctx.pool = pool.get();
+      auto board = census_run ? RunEmpiricalTable2(census, ctx)
+                              : RunEmpiricalTable2(trial, clinical, ctx);
+      ASSERT_TRUE(board.ok()) << board.status().ToString();
+      if (text_ref.empty()) {
+        text_ref = board->RenderText();
+        json_ref = board->RenderJson();
+      } else {
+        EXPECT_EQ(board->RenderText(), text_ref)
+            << (census_run ? "census" : "clinical") << " at " << threads
+            << " threads";
+        EXPECT_EQ(board->RenderJson(), json_ref)
+            << (census_run ? "census" : "clinical") << " at " << threads
+            << " threads";
+      }
     }
   }
 }

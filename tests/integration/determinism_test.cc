@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/evaluator.h"
+#include "attack/scoreboard.h"
 #include "ppdm/randomized_response.h"
 #include "sdc/condensation.h"
 #include "sdc/noise.h"
@@ -100,20 +100,13 @@ TEST(DeterminismTest, ProtocolsReproduceTranscripts) {
 }
 
 TEST(DeterminismTest, EvaluatorScoresReproduce) {
-  PrivacyEvaluator::Options options;
-  options.pir_trials = 8;
-  options.seed = 21;
-  PrivacyEvaluator a(MakeExtendedTrial(120, 59), options);
-  PrivacyEvaluator b(MakeExtendedTrial(120, 59), options);
-  for (TechnologyClass t :
-       {TechnologyClass::kSdc, TechnologyClass::kGenericNonCryptoPpdmPlusPir}) {
-    auto ea = a.Evaluate(t);
-    auto eb = b.Evaluate(t);
-    ASSERT_TRUE(ea.ok() && eb.ok());
-    EXPECT_DOUBLE_EQ(ea->scores.respondent, eb->scores.respondent);
-    EXPECT_DOUBLE_EQ(ea->scores.owner, eb->scores.owner);
-    EXPECT_DOUBLE_EQ(ea->scores.user, eb->scores.user);
-  }
+  attack::EmpiricalTable2Config config = attack::ClinicalTable2Config(21);
+  config.selection_trials = 8;
+  auto a = attack::RunEmpiricalTable2(MakeExtendedTrial(120, 59), config, {});
+  auto b = attack::RunEmpiricalTable2(MakeExtendedTrial(120, 59), config, {});
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->RenderText(), b->RenderText());
+  EXPECT_EQ(a->RenderJson(), b->RenderJson());
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/scoreboard.h"
 #include "core/advisor.h"
-#include "core/evaluator.h"
 #include "pir/aggregate.h"
 #include "ppdm/decision_tree.h"
 #include "querydb/tracker.h"
@@ -114,18 +114,19 @@ TEST(PipelineTest, MaskedReleaseSurvivesCsvRoundTrip) {
 
 TEST(PipelineTest, AdvisorRecommendationsSurviveEvaluation) {
   // What the advisor recommends for "all three dimensions" must actually
-  // measure >= medium on every dimension with the evaluator's attacks.
+  // measure >= medium on every dimension with the scoreboard's attacks.
   PrivacyRequirements all;
   all.respondent = all.owner = all.user = true;
   auto rec = RecommendTechnology(all);
   ASSERT_TRUE(rec.ok());
-  PrivacyEvaluator::Options options;
-  options.pir_trials = 12;
-  PrivacyEvaluator evaluator(MakeExtendedTrial(250, 19), options);
-  auto eval = evaluator.Evaluate(rec->technology);
-  ASSERT_TRUE(eval.ok());
+  attack::EmpiricalTable2Config config = attack::ClinicalTable2Config(7);
+  config.selection_trials = 12;
+  auto board =
+      attack::RunEmpiricalTable2(MakeExtendedTrial(250, 19), config, {});
+  ASSERT_TRUE(board.ok()) << board.status().ToString();
+  const attack::ScoreboardRow& row = board->row(rec->technology);
   for (Dimension d : kAllDimensions) {
-    EXPECT_GE(eval->scores.of(d), 0.4)
+    EXPECT_GE(row.cells[static_cast<size_t>(d)].score(), 0.4)
         << DimensionToString(d) << " under "
         << TechnologyClassToString(rec->technology);
   }

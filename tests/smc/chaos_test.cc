@@ -8,12 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "core/evaluator.h"
 #include "smc/distributed_id3.h"
 #include "smc/psi.h"
 #include "smc/reliable_channel.h"
@@ -389,23 +390,60 @@ TEST(ChaosLeakTest, RetransmissionsLeakNothingBeyondFaultFreeTranscript) {
 }
 
 TEST(ChaosLeakTest, EvaluatorCryptoScoresUnchangedByRetransmissions) {
-  // The evaluator's transcript scan deduplicates retransmissions and skips
-  // reliability metadata, so injected drops must not move the measured
-  // owner/respondent protection of crypto PPDM.
-  PrivacyEvaluator::Options clean_options;
-  clean_options.pir_trials = 4;
-  PrivacyEvaluator clean(MakeExtendedTrial(120, 11), clean_options);
-  auto clean_eval = clean.Evaluate(TechnologyClass::kCryptoPpdm);
-  ASSERT_TRUE(clean_eval.ok()) << clean_eval.status().ToString();
+  // The scoreboard's crypto-PPDM deployment: three owners hold horizontal
+  // shards of the 120-row trial and secure-sum their per-column totals
+  // (SecureSumCounts, the vector sum the transcript scan reads). Under 10%
+  // drops the reliable channel retransmits; once acks and headers are
+  // stripped, every payload must already be in the fault-free transcript,
+  // so the scan measures no more leakage than without faults.
+  const DataTable trial = MakeExtendedTrial(120, 11);
+  constexpr size_t kParties = 3;
+  std::vector<size_t> numeric;
+  for (size_t c = 0; c < trial.num_columns(); ++c) {
+    if (trial.schema().attribute(c).type != AttributeType::kCategorical) {
+      numeric.push_back(c);
+    }
+  }
+  std::vector<std::vector<uint64_t>> local(
+      kParties, std::vector<uint64_t>(numeric.size() + 1, 0));
+  for (size_t r = 0; r < trial.num_rows(); ++r) {
+    std::vector<uint64_t>& sums = local[r % kParties];
+    sums[0] += 1;
+    for (size_t j = 0; j < numeric.size(); ++j) {
+      const int64_t cell = std::llround(trial.at(r, numeric[j]).ToDouble());
+      sums[j + 1] += static_cast<uint64_t>(std::max<int64_t>(0, cell));
+    }
+  }
 
-  PrivacyEvaluator::Options chaos_options = clean_options;
-  chaos_options.chaos_drop_rate = 0.1;
-  PrivacyEvaluator chaotic(MakeExtendedTrial(120, 11), chaos_options);
-  auto chaos_eval = chaotic.Evaluate(TechnologyClass::kCryptoPpdm);
-  ASSERT_TRUE(chaos_eval.ok()) << chaos_eval.status().ToString();
+  PartyNetwork reference_net(kParties, 7);
+  auto reference = SecureSumCounts(&reference_net, local);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::set<std::string> reference_payloads;
+  for (const auto& msg : reference_net.transcript()) {
+    std::string key = msg.tag;
+    for (const BigInt& v : msg.payload) key += ',' + v.ToHex();
+    reference_payloads.insert(std::move(key));
+  }
 
-  EXPECT_EQ(chaos_eval->scores.owner, clean_eval->scores.owner);
-  EXPECT_EQ(chaos_eval->scores.respondent, clean_eval->scores.respondent);
+  FaultPlan plan;
+  plan.drop_rate = 0.1;
+  PartyNetwork net(kParties, 7);
+  net.InjectFaults(plan);
+  auto faulty = SecureSumCounts(&net, local);
+  ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+  ASSERT_EQ(*faulty, *reference);
+  ASSERT_GT(net.fault_log().size(), 0u);
+
+  for (const auto& msg : net.transcript()) {
+    if (IsReliableControlMessage(msg)) continue;
+    ASSERT_GE(msg.payload.size(), kReliableHeaderElems);
+    std::string key = msg.tag;
+    for (size_t i = kReliableHeaderElems; i < msg.payload.size(); ++i) {
+      key += ',' + msg.payload[i].ToHex();
+    }
+    EXPECT_TRUE(reference_payloads.count(key))
+        << "fault-injected run leaked a novel payload in " << msg.tag;
+  }
 }
 
 }  // namespace
