@@ -53,7 +53,7 @@ inline constexpr uint8_t kTierProtected = 0;
 inline constexpr uint8_t kTierDpDegraded = 1;
 inline constexpr uint8_t kTierRefused = 2;
 
-/// Breaker states as stable indices (mirrors service BreakerState).
+/// Breaker states as stable indices (mirrors util BreakerState).
 inline constexpr uint8_t kBreakerClosed = 0;
 inline constexpr uint8_t kBreakerOpen = 1;
 inline constexpr uint8_t kBreakerHalfOpen = 2;
@@ -115,8 +115,6 @@ class ServiceMetrics {
       shed_->Increment();
       shed_by_class_[cls < kNumTenantClasses ? cls : kClassUnattributed]
           ->Increment();)
-  /// Class-less legacy path: counts against kClassUnattributed.
-  void OnShed() { OnShed(kClassUnattributed); }
   void OnPolicyRefusal() TRIPRIV_OBS_BODY(policy_refusals_->Increment();)
   void OnCrash() TRIPRIV_OBS_BODY(crashes_->Increment();)
   /// One WAL append attempt: `bytes` framed, `ok` durable. The fsync-tick

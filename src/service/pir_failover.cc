@@ -1,6 +1,5 @@
 #include "service/pir_failover.h"
 
-#include "pir/xor_kernel.h"
 #include "util/checksum.h"
 
 namespace tripriv {
@@ -93,75 +92,50 @@ Result<std::vector<uint8_t>> FailoverPirClient::ReadFromGroup(
     size_t group, size_t index, uint8_t tenant_class, ThreadPool* pool) {
   const size_t gs = group_size();
   const size_t base = gs * group;
+  std::vector<XorPirServer*> members;
+  members.reserve(gs);
   for (size_t s = base; s < base + gs; ++s) {
     if (faults_[s].crashed) {
       return Status::Unavailable("PIR server " + std::to_string(s) +
                                  " is down");
     }
+    members.push_back(&servers_[s]);
   }
-
-  // Seed-compressed queries, one answer per replica, fault draws in member
-  // order.
   PirSessionRegistry::Session* session =
       sessions_.Establish(tenant_class, geometry_, /*epoch=*/0);
-  TRIPRIV_ASSIGN_OR_RETURN(auto queries,
-                           BuildHypercubeQueries(geometry_, index, &rng_));
-  std::vector<uint8_t> rec(payload_size_ + 8, 0);
-  size_t upload = 0;
+  TRIPRIV_ASSIGN_OR_RETURN(
+      auto rec, RecursivePirRead(members, geometry_, index, &rng_, pool,
+                                 /*stats=*/nullptr, session));
+  // A lying member flips one byte of its answer. XOR is linear, so that
+  // flips the same byte of the reconstruction; the draws run in member
+  // order after the query seed, as if applied to each answer.
   for (size_t m = 0; m < gs; ++m) {
-    upload += queries[m].upload_bits(geometry_);
-    TRIPRIV_ASSIGN_OR_RETURN(
-        auto ans, AnswerHypercubeQuery(&servers_[base + m], queries[m],
-                                       geometry_, pool, session));
-    if (!ans.empty() && rng_.Bernoulli(faults_[base + m].corrupt_rate)) {
-      const size_t byte = static_cast<size_t>(rng_.UniformU64(ans.size()));
-      ans[byte] ^= 0x5A;
+    if (rng_.Bernoulli(faults_[base + m].corrupt_rate)) {
+      rec[static_cast<size_t>(rng_.UniformU64(rec.size()))] ^= 0x5A;
     }
-    TRIPRIV_CHECK_EQ(ans.size(), rec.size());
-    XorBytesInto(rec.data(), ans.data(), rec.size());
   }
-  session->reads += 1;
-  session->upload_bits += upload;
   return VerifyReconstruction(std::move(rec), group);
 }
 
 Result<std::vector<uint8_t>> FailoverPirClient::Read(size_t index,
                                                      const Deadline& deadline,
-                                                     uint8_t tenant_class) {
-  return ReadImpl(index, deadline, tenant_class, /*pool=*/nullptr);
-}
-
-Result<std::vector<uint8_t>> FailoverPirClient::ReadImpl(
-    size_t index, const Deadline& deadline, uint8_t tenant_class,
-    ThreadPool* pool) {
+                                                     uint8_t tenant_class,
+                                                     ThreadPool* pool) {
   if (index >= num_records_) {
     return Status::OutOfRange("record index out of range");
   }
   const size_t groups = num_groups();
   const size_t first_group = next_group_;
   next_group_ = (next_group_ + 1) % groups;
-
-  Status last = Status::Unavailable("no PIR attempt was made");
-  const size_t max_attempts = retry_.max_attempts < 1 ? 1 : retry_.max_attempts;
-  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    if (deadline.expired(*clock_)) {
-      return DeadlineExceededError("PIR read after " +
-                                   std::to_string(attempt) + " attempt(s)");
-    }
-    const size_t group = (first_group + attempt) % groups;
-    if (attempt > 0) ++failovers_;
-    auto read = ReadFromGroup(group, index, tenant_class, pool);
-    if (read.ok()) return read;
-    if (!read.status().transient()) return read.status();
-    last = read.status();
-    // Charge backoff to the simulated clock; the deadline check at the top
-    // of the loop turns an expired budget into a typed failure.
-    clock_->Advance(retry_.BackoffTicks(attempt));
-  }
-  return Status::Unavailable("PIR read failed after " +
-                             std::to_string(max_attempts) +
-                             " attempts across " + std::to_string(groups) +
-                             " group(s); last: " + last.message());
+  // Each attempt fails over to the next group; a crashed member or a
+  // corrupt reconstruction is a transient kUnavailable.
+  return RunRetryLadder<std::vector<uint8_t>>(
+      retry_, deadline, clock_, /*breaker=*/nullptr, "PIR read",
+      [this, first_group, groups, index, tenant_class, pool](size_t attempt) {
+        if (attempt > 0) ++failovers_;
+        return ReadFromGroup((first_group + attempt) % groups, index,
+                             tenant_class, pool);
+      });
 }
 
 std::vector<Result<std::vector<uint8_t>>> FailoverPirClient::ReadBatch(
@@ -172,7 +146,7 @@ std::vector<Result<std::vector<uint8_t>>> FailoverPirClient::ReadBatch(
   std::vector<Result<std::vector<uint8_t>>> results;
   results.reserve(indices.size());
   for (size_t index : indices) {
-    results.push_back(ReadImpl(index, deadline, tenant_class, pool));
+    results.push_back(Read(index, deadline, tenant_class, pool));
   }
   return results;
 }

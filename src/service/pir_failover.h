@@ -14,9 +14,12 @@
 //     forge it — excluded by the non-collusion assumption IT-PIR already
 //     makes);
 //   * a crashed server (kUnavailable) or a detected-corrupt reconstruction
-//     fails the attempt over to the next group under a RetryPolicy, with
-//     backoff charged to the simulated clock and the caller's Deadline
-//     enforced between attempts.
+//     fails the attempt over to the next group through RunRetryLadder
+//     (util/retry.h), with backoff charged to the simulated clock and the
+//     caller's Deadline enforced between attempts;
+//   * each attempt is one RecursivePirRead over the group's members; an
+//     injected lying member flips a byte of the reconstruction, which by
+//     the linearity of XOR is what flipping its answer would do.
 //
 // Privacy note: failing over re-issues the query to a *different* group
 // with a fresh seed; no server ever sees two members' queries of one read,
@@ -75,9 +78,11 @@ class FailoverPirClient {
   /// suffix. Fails with kUnavailable when every attempt hit a crashed group
   /// or a corrupt reconstruction, kDeadlineExceeded when time ran out.
   /// `tenant_class` keys the expansion session (allowlisted class index,
-  /// never a principal id).
+  /// never a principal id); `pool` (null = inline) shards each replica's
+  /// XOR sweep.
   Result<std::vector<uint8_t>> Read(size_t index, const Deadline& deadline,
-                                    uint8_t tenant_class = 0);
+                                    uint8_t tenant_class = 0,
+                                    ThreadPool* pool = nullptr);
 
   /// Batched private reads with positional results: a Read loop in index
   /// order (the exact rng transcript of serial Reads) whose per-replica
@@ -147,10 +152,6 @@ class FailoverPirClient {
   Result<std::vector<uint8_t>> ReadFromGroup(size_t group, size_t index,
                                              uint8_t tenant_class,
                                              ThreadPool* pool);
-  /// Read with an explicit pool for the per-replica sweeps.
-  Result<std::vector<uint8_t>> ReadImpl(size_t index, const Deadline& deadline,
-                                        uint8_t tenant_class,
-                                        ThreadPool* pool);
   /// Strips and verifies the checksum suffix of a reconstruction; counts a
   /// failure as a detected-corrupt answer.
   Result<std::vector<uint8_t>> VerifyReconstruction(std::vector<uint8_t> rec,

@@ -294,52 +294,23 @@ ServiceAnswer QueryService::SubmitPreparedImpl(const StatQuery& query,
 
 Result<ProtectedAnswer> QueryService::TryPrimary(const StatQuery& query,
                                                  const Deadline& deadline) {
-  const RetryPolicy retry =
-      config_.retry.Truncated(deadline.remaining_ticks(*clock_));
-  const size_t max_attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
-  Status last = Status::Unavailable("no primary attempt was made");
-  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    if (deadline.expired(*clock_)) {
-      return DeadlineExceededError("primary path after " +
-                                   std::to_string(attempt) + " attempt(s)");
-    }
-    // The breaker gates EVERY attempt, not just the first. Checking once
-    // before the loop let retries keep hammering a backend whose first
-    // attempt had just tripped the breaker — and, worse, let a burst
-    // arriving in the half-open window ride a single probe permission for
-    // its whole retry budget, multiplying trial load on a barely-recovered
-    // backend. Once the breaker refuses there is no point burning backoff:
-    // return immediately and let the ladder degrade.
-    if (!primary_breaker_->AllowRequest()) {
-      return Status::Unavailable("primary circuit breaker is open");
-    }
-    if (fault_rng_.Bernoulli(config_.faults.backend_fault_rate)) {
-      primary_breaker_->RecordFailure();
-      last = Status::Unavailable("injected primary backend fault");
-      clock_->Advance(retry.BackoffTicks(attempt));
-      continue;
-    }
-    // Deadline-aware evaluation charges the scan cost to the clock and
-    // fails typed when the budget runs out mid-scan.
-    auto evaluated = ExecuteQuery(backend_.data(), query, clock_.get(), deadline);
-    if (!evaluated.ok()) {
-      if (evaluated.status().code() == StatusCode::kDeadlineExceeded) {
-        // The request's budget, not the backend's health: no breaker
-        // penalty, and retrying cannot help.
-        return evaluated.status();
-      }
-      // The backend responded; the query itself is bad (permanent).
-      primary_breaker_->RecordSuccess();
-      return evaluated.status();
-    }
-    auto answer = backend_.Query(query);
-    primary_breaker_->RecordSuccess();
-    if (!answer.ok()) return answer.status();
-    return answer;
-  }
-  return Status::Unavailable("primary path failed after " +
-                             std::to_string(max_attempts) +
-                             " attempt(s); last: " + last.message());
+  // The breaker gates EVERY attempt, not just the first: a burst arriving in
+  // the half-open window cannot ride a single probe permission for its whole
+  // retry budget, and once the breaker refuses the ladder degrades at once.
+  return RunRetryLadder<ProtectedAnswer>(
+      config_.retry, deadline, clock_.get(), primary_breaker_.get(),
+      "primary path",
+      [this, &query, &deadline](size_t) -> Result<ProtectedAnswer> {
+        if (fault_rng_.Bernoulli(config_.faults.backend_fault_rate)) {
+          return Status::Unavailable("injected primary backend fault");
+        }
+        // Deadline-aware evaluation charges the scan cost to the clock and
+        // fails typed when the budget runs out mid-scan.
+        auto evaluated =
+            ExecuteQuery(backend_.data(), query, clock_.get(), deadline);
+        if (!evaluated.ok()) return evaluated.status();
+        return backend_.Query(query);
+      });
 }
 
 Status QueryService::ChargeEpsilon(uint64_t query_id, uint64_t fingerprint,
@@ -438,53 +409,35 @@ Result<int64_t> QueryService::PrivateDpCount(const Predicate& predicate,
     return Status::PermissionDenied("privacy budget exhausted");
   }
   const uint64_t span = BeginSpan(span_ids_.aggregate_count, 0, query_id);
-  const RetryPolicy retry =
-      config_.retry.Truncated(deadline.remaining_ticks(*clock_));
-  const size_t max_attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
-  Status last = Status::Unavailable("no aggregate attempt was made");
-  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    if (deadline.expired(*clock_)) {
-      FinishSpan(span, StatusCode::kDeadlineExceeded);
-      return DeadlineExceededError("private aggregate count after " +
-                                   std::to_string(attempt) + " attempt(s)");
-    }
-    // Replica failover: each attempt goes to the next replica.
-    const auto* replica = aggregate_replicas_[attempt % aggregate_replicas_.size()];
-    if (fault_rng_.Bernoulli(config_.faults.aggregate_fault_rate)) {
-      last = Status::Unavailable("injected aggregate replica fault");
-      clock_->Advance(retry.BackoffTicks(attempt));
-      continue;
-    }
-    clock_->Advance(1);  // one round trip of ciphertexts
-    auto count = aggregate_client_->DpCount(*replica, predicate,
-                                            config_.degrade_epsilon,
-                                            aggregate_server_rng_);
-    if (!count.ok()) {
-      if (!count.status().transient()) {
-        FinishSpan(span, count.status().code());
-        return count.status();
-      }
-      last = count.status();
-      clock_->Advance(retry.BackoffTicks(attempt));
-      continue;
-    }
+  // Replica failover: each attempt goes to the next replica.
+  auto count = RunRetryLadder<int64_t>(
+      config_.retry, deadline, clock_.get(), /*breaker=*/nullptr,
+      "private aggregate count",
+      [this, &predicate](size_t attempt) -> Result<int64_t> {
+        const auto* replica =
+            aggregate_replicas_[attempt % aggregate_replicas_.size()];
+        if (fault_rng_.Bernoulli(config_.faults.aggregate_fault_rate)) {
+          return Status::Unavailable("injected aggregate replica fault");
+        }
+        clock_->Advance(1);  // one round trip of ciphertexts
+        return aggregate_client_->DpCount(*replica, predicate,
+                                          config_.degrade_epsilon,
+                                          aggregate_server_rng_);
+      });
+  Status outcome = count.status();
+  if (outcome.ok()) {
     const std::string canonical = predicate.ToString();
-    Status charged =
-        ChargeEpsilon(query_id, Fnv1a64(canonical.data(), canonical.size()),
-                      /*aggregate_path=*/true);
-    if (!charged.ok()) {
-      FinishSpan(span, charged.code());
-      return charged;
+    outcome = ChargeEpsilon(query_id,
+                            Fnv1a64(canonical.data(), canonical.size()),
+                            /*aggregate_path=*/true);
+    if (outcome.ok()) {
+      ++stats_.dp_answers;
+      if (metrics_ != nullptr) metrics_->OnAnswer(obs::kTierDpDegraded);
     }
-    ++stats_.dp_answers;
-    if (metrics_ != nullptr) metrics_->OnAnswer(obs::kTierDpDegraded);
-    FinishSpan(span, StatusCode::kOk);
-    return *count;
   }
-  FinishSpan(span, StatusCode::kUnavailable);
-  return Status::Unavailable("aggregate path failed after " +
-                             std::to_string(max_attempts) +
-                             " attempt(s); last: " + last.message());
+  FinishSpan(span, outcome.code());
+  if (!outcome.ok()) return outcome;
+  return count;
 }
 
 void QueryService::AttachPirBackend(FailoverPirClient* pir) {

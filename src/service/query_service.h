@@ -22,8 +22,9 @@
 //   2. admission control — a full virtual queue sheds the request with
 //      kResourceExhausted before any backend work;
 //   3. primary path — exact evaluation under the request Deadline (cost
-//      charged to the SimClock), guarded by a per-backend CircuitBreaker
-//      and retried under the RetryPolicy truncated to the deadline;
+//      charged to the SimClock), run through RunRetryLadder (util/retry.h):
+//      every attempt is gated by a per-backend CircuitBreaker and retried
+//      under the RetryPolicy until the deadline expires;
 //   4. degraded path — on a transient primary failure the service answers
 //      from an epsilon-DP Laplace backend instead (the one protection in
 //      this codebase that needs no query inspection), charging a durable
@@ -47,8 +48,8 @@
 #include "querydb/protection.h"
 #include "service/admission.h"
 #include "service/audit_wal.h"
-#include "service/circuit_breaker.h"
 #include "service/pir_failover.h"
+#include "util/circuit_breaker.h"
 #include "util/clock.h"
 #include "util/retry.h"
 

@@ -10,7 +10,7 @@
 // A Deadline is an absolute tick on a SimClock. It propagates down the call
 // chain — service front-end → query evaluation → backend retries → PIR
 // server calls — so one request-level time budget bounds every nested
-// operation (see RetryPolicy::Truncated in util/retry.h).
+// operation (see RunRetryLadder in util/retry.h).
 
 #pragma once
 

@@ -19,10 +19,4 @@ uint64_t RetryPolicy::BackoffTicks(size_t attempt) const {
   return raw < 1.0 ? 1 : static_cast<uint64_t>(raw);
 }
 
-RetryPolicy RetryPolicy::Truncated(uint64_t remaining_ticks) const {
-  RetryPolicy out = *this;
-  if (remaining_ticks < out.deadline_ticks) out.deadline_ticks = remaining_ticks;
-  return out;
-}
-
 }  // namespace tripriv

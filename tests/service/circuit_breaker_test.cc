@@ -1,7 +1,8 @@
 // Tests for the three-state circuit breaker: trip on consecutive failures,
-// timed reopen with seeded jitter, half-open probing, and determinism.
+// timed reopen with seeded jitter, half-open probing (including an abandoned
+// probe), and determinism.
 
-#include "service/circuit_breaker.h"
+#include "util/circuit_breaker.h"
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,43 @@ TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {
   clock.Advance(10);
   EXPECT_TRUE(breaker.AllowRequest());
   EXPECT_EQ(breaker.half_open_probes(), 2u);  // one probe per episode
+}
+
+TEST(CircuitBreakerTest, AbandonedProbeFreesTheSlot) {
+  SimClock clock;
+  CircuitBreaker breaker(TestConfig(), &clock);
+  // Closed: nothing to free, and the failure count stands.
+  ASSERT_TRUE(breaker.AllowRequest());
+  breaker.RecordFailure();
+  breaker.RecordAbandoned();
+  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+  EXPECT_EQ(breaker.consecutive_failures(), 1u);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(breaker.AllowRequest());
+    breaker.RecordFailure();
+  }
+  // Open: the timer stands.
+  breaker.RecordAbandoned();
+  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
+  EXPECT_FALSE(breaker.AllowRequest());
+
+  clock.Advance(10);
+  ASSERT_TRUE(breaker.AllowRequest());  // probe 1
+  breaker.RecordSuccess();
+  ASSERT_TRUE(breaker.AllowRequest());  // probe 2, abandoned below
+  EXPECT_FALSE(breaker.AllowRequest());  // slot busy
+  const size_t rejected = breaker.rejected();
+  breaker.RecordAbandoned();
+  EXPECT_FALSE(breaker.probe_in_flight());
+  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
+  EXPECT_EQ(breaker.half_open_successes(), 1u);  // no verdict either way
+  EXPECT_EQ(breaker.consecutive_failures(), 0u);
+  EXPECT_EQ(breaker.times_opened(), 1u);
+  ASSERT_TRUE(breaker.AllowRequest());  // probe 3 gets the freed slot
+  EXPECT_EQ(breaker.rejected(), rejected);
+  EXPECT_EQ(breaker.half_open_probes(), 3u);
+  breaker.RecordSuccess();
+  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
 TEST(CircuitBreakerTest, JitterIsSeedDeterministicAndBounded) {

@@ -387,5 +387,43 @@ TEST(QueryServiceTest, HalfOpenWindowAdmitsExactlyOneProbeUnderBurst) {
   EXPECT_GT(service->primary_breaker().rejected(), rejected_before);
 }
 
+TEST(QueryServiceTest, DeadlineDuringHalfOpenProbeDoesNotWedgeBreaker) {
+  // Regression: a half-open probe whose request deadline ran out mid-scan
+  // reported nothing to the breaker, so its probe slot stayed taken and
+  // every later request was breaker-rejected — degrading to epsilon-DP or
+  // refused — until a restart.
+  MemWalIo wal;
+  QueryServiceConfig config = AuditConfig();
+  config.protection.mode = ProtectionMode::kQuerySetSize;
+  config.faults.backend_fault_rate = 0.5;
+  config.faults.seed = 1;
+  config.breaker.failure_threshold = 1;
+  config.breaker.open_ticks = 4;
+  config.breaker.open_jitter_ticks = 0;
+  auto service = QueryService::Create(PaperDataset2(), config, &wal);
+  ASSERT_TRUE(service.ok());
+  SimClock* clock = service->sim_clock();
+  const StatQuery query = Parse("SELECT COUNT(*) FROM t WHERE height < 175");
+
+  for (int i = 0; i < 100; ++i) {
+    if (service->primary_breaker().state() == BreakerState::kOpen) break;
+    service->Submit(query);
+  }
+  ASSERT_EQ(service->primary_breaker().state(), BreakerState::kOpen);
+  clock->Advance(10);
+  // The half-open probe, with less budget left than its scan costs.
+  service->Submit(query, Deadline::After(*clock, 1));
+  EXPECT_FALSE(service->primary_breaker().probe_in_flight());
+
+  size_t protected_answers = 0;
+  for (int i = 0; i < 40; ++i) {
+    clock->Advance(50);
+    if (service->Submit(query).tier == AnswerTier::kProtected) {
+      ++protected_answers;
+    }
+  }
+  EXPECT_GT(protected_answers, 0u);
+}
+
 }  // namespace
 }  // namespace tripriv

@@ -19,12 +19,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <vector>
 
 #include "service/query_service.h"
 #include "table/datasets.h"
+#include "util/checksum.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace tripriv {
 namespace {
@@ -427,6 +430,186 @@ TEST(ServiceChaosTest, OverloadBurstShedsTypedAndRecovers) {
   // simulated time, the same client is served again.
   service->sim_clock()->Advance(2 * 512);
   EXPECT_TRUE(Answered(service->Submit(query)));
+}
+
+// Request-by-request transcript of a ladder run, hashed with FNV-1a: each
+// request contributes its outcome, status code and the clock after it.
+class Transcript {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
+  void Add(const Status& status, uint64_t tick) {
+    Add(static_cast<uint64_t>(status.code()));
+    Add(tick);
+  }
+  uint64_t Digest() const { return Fnv1a64(bytes_.data(), bytes_.size()); }
+
+ private:
+  std::vector<uint8_t> bytes_;
+};
+
+// The three retry ladders (primary query path, private aggregate count,
+// failover PIR read) under faults and tight deadlines, pinned to constants:
+// rng order, simulated ticks, answers and counters must not move unless a
+// change means them to. Request deadlines are tight only while the primary
+// breaker is closed, and open_ticks exceeds any one ladder's backoff, so no
+// half-open probe ever runs out of time here (an abandoned probe is
+// QueryServiceTest.DeadlineDuringHalfOpenProbeDoesNotWedgeBreaker's case).
+TEST(ServiceChaosTest, RetryLadderTranscriptsArePinned) {
+  {  // Primary ladder: backend faults, every 7th request on a 1-5 tick budget.
+    QueryServiceConfig config = BaseConfig();
+    config.protection.mode = ProtectionMode::kQuerySetSize;
+    config.faults.backend_fault_rate = 0.35;
+    config.faults.dp_fault_rate = 0.1;
+    config.faults.seed = 17;
+    // After a trip its ladder charges at most one backoff (<= 4 ticks, under
+    // open_ticks) before the breaker refuses or the ladder gives up.
+    config.retry.max_attempts = 3;
+    config.breaker.failure_threshold = 3;
+    config.breaker.open_ticks = 20;
+    config.breaker.open_jitter_ticks = 8;
+    MemWalIo io;
+    auto service = QueryService::Create(ChaosTable(), config, &io);
+    ASSERT_TRUE(service.ok());
+    SimClock* clock = service->sim_clock();
+    Rng gaps(5);
+    Transcript transcript;
+    const std::vector<StatQuery> workload = MakeWorkload(150, 31);
+    for (size_t i = 0; i < workload.size(); ++i) {
+      clock->Advance(gaps.UniformU64(13));
+      const bool tight = i % 7 == 0 && service->primary_breaker().state() ==
+                                           BreakerState::kClosed;
+      const ServiceAnswer outcome =
+          tight ? service->Submit(workload[i],
+                                  Deadline::After(*clock, 1 + i % 5))
+                : service->Submit(workload[i]);
+      transcript.Add(static_cast<uint64_t>(outcome.tier));
+      transcript.Add(std::bit_cast<uint64_t>(outcome.answer.value));
+      transcript.Add(outcome.refusal, clock->now());
+    }
+    const ServiceStats& stats = service->stats();
+    EXPECT_EQ(clock->now(), 963u);
+    EXPECT_EQ(stats.protected_answers, 79u);
+    EXPECT_EQ(stats.dp_answers, 8u);
+    EXPECT_EQ(stats.refusals, 63u);
+    EXPECT_EQ(stats.policy_refusals, 57u);
+    EXPECT_EQ(stats.degraded_attempts, 9u);
+    EXPECT_EQ(service->primary_breaker().times_opened(), 3u);
+    EXPECT_EQ(service->primary_breaker().rejected(), 7u);
+    EXPECT_EQ(service->primary_breaker().half_open_probes(), 5u);
+    EXPECT_EQ(service->dp_breaker().times_opened(), 0u);
+    EXPECT_EQ(service->dp_breaker().rejected(), 0u);
+    EXPECT_EQ(io.size(), 24756u);
+    EXPECT_EQ(service->epsilon_spent(), 4.0);
+    EXPECT_EQ(transcript.Digest(), 10382626388131453284ull);
+  }
+
+  {  // Aggregate ladder: replica faults over 3 replicas of a 182-cell grid.
+    QueryServiceConfig config = BaseConfig();
+    config.faults.aggregate_fault_rate = 0.6;
+    config.faults.seed = 23;
+    config.retry.max_attempts = 2;
+    MemWalIo io;
+    auto service = QueryService::Create(PaperDataset2(), config, &io);
+    ASSERT_TRUE(service.ok());
+    const std::vector<GridAxis> grid = {{"height", 140, 209, 5},
+                                        {"weight", 40, 169, 10}};
+    std::vector<PrivateAggregateServer> replicas;
+    for (int r = 0; r < 3; ++r) {
+      auto replica = PrivateAggregateServer::Build(PaperDataset2(), grid);
+      ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+      replicas.push_back(std::move(replica).value());
+    }
+    auto client = PrivateAggregateClient::Create(192, 3);
+    ASSERT_TRUE(client.ok());
+    Rng server_rng(21);
+    service->AttachAggregateBackends({&replicas[0], &replicas[1], &replicas[2]},
+                                     &*client, &server_rng);
+    SimClock* clock = service->sim_clock();
+    Transcript transcript;
+    for (int i = 0; i < 12; ++i) {
+      const Predicate predicate =
+          i % 2 == 0 ? Predicate::Compare("height", CompareOp::kLt,
+                                          Value(int64_t{150 + 5 * i}))
+                     : Predicate::Compare("weight", CompareOp::kGe,
+                                          Value(int64_t{50 + 10 * (i % 8)}));
+      const Deadline deadline =
+          i % 3 == 2 ? Deadline::After(*clock, 1) : Deadline();
+      auto count = service->PrivateDpCount(predicate, deadline);
+      transcript.Add(count.ok() ? static_cast<uint64_t>(*count) : 0);
+      transcript.Add(count.status(), clock->now());
+      clock->Advance(3);
+    }
+    EXPECT_EQ(clock->now(), 51u);
+    EXPECT_EQ(service->stats().dp_answers, 9u);
+    EXPECT_EQ(io.size(), 414u);
+    EXPECT_EQ(service->epsilon_spent(), 4.5);
+    EXPECT_EQ(transcript.Digest(), 7943069387888833643ull);
+  }
+
+  // Failover ladder at d = 1/2/3 over 3 groups: group 0 has a crashed
+  // member, groups 1 and 2 a lying one. 32 KiB per replica, so the 2-thread
+  // batch shards every sweep.
+  std::vector<std::vector<uint8_t>> records(1024, std::vector<uint8_t>(24));
+  for (size_t i = 0; i < records.size(); ++i) {
+    for (size_t j = 0; j < records[i].size(); ++j) {
+      records[i][j] = static_cast<uint8_t>(i * 31 + j);
+    }
+  }
+  ThreadPool pool(2);
+  const struct {
+    size_t d;
+    size_t failovers;
+    size_t corrupt;
+    uint64_t bytes_xored;
+    uint64_t upload_bits;
+    uint64_t tick;
+    uint64_t digest;
+  } kPinned[] = {
+      {1, 80, 41, 4501536, 149056, 128, 120904730595144353ull},
+      {2, 74, 35, 4340448, 33536, 135, 13564892577044384540ull},
+      {3, 71, 33, 4387104, 38645, 89, 9265776998089224617ull},
+  };
+  for (const auto& pinned : kPinned) {
+    RetryPolicy retry;
+    retry.max_attempts = 4;
+    SimClock clock;
+    auto client = FailoverPirClient::BuildRecursive(records, 3, pinned.d,
+                                                    retry, &clock, 41);
+    ASSERT_TRUE(client.ok());
+    const size_t gs = client->group_size();
+    client->InjectFault(1, PirServerFault{.crashed = true});
+    client->InjectFault(gs + gs - 1, PirServerFault{.corrupt_rate = 0.4});
+    client->InjectFault(2 * gs, PirServerFault{.corrupt_rate = 0.15});
+    Rng picks(pinned.d);
+    Transcript transcript;
+    auto add_read = [&](const Result<std::vector<uint8_t>>& read) {
+      transcript.Add(read.ok() ? Fnv1a64(read->data(), read->size()) : 0);
+      transcript.Add(read.status(), clock.now());
+    };
+    for (size_t i = 0; i < 60; ++i) {
+      const Deadline deadline =
+          i % 7 == 0 ? Deadline::After(clock, 1 + i % 5) : Deadline();
+      add_read(client->Read(picks.UniformU64(records.size()), deadline));
+    }
+    std::vector<size_t> indices(40);
+    for (size_t& index : indices) index = picks.UniformU64(records.size());
+    for (const auto& read : client->ReadBatch(indices, Deadline(), &pool)) {
+      add_read(read);
+    }
+    EXPECT_EQ(client->failovers(), pinned.failovers) << "d=" << pinned.d;
+    EXPECT_EQ(client->corrupt_answers_detected(), pinned.corrupt)
+        << "d=" << pinned.d;
+    EXPECT_EQ(client->total_bytes_xored(), pinned.bytes_xored)
+        << "d=" << pinned.d;
+    EXPECT_EQ(client->sessions().total_upload_bits(), pinned.upload_bits)
+        << "d=" << pinned.d;
+    EXPECT_EQ(clock.now(), pinned.tick) << "d=" << pinned.d;
+    EXPECT_EQ(transcript.Digest(), pinned.digest) << "d=" << pinned.d;
+  }
 }
 
 }  // namespace

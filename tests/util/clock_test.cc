@@ -1,5 +1,5 @@
 // Tests for SimClock and Deadline: logical-time arithmetic, expiry,
-// saturation, and propagation into RetryPolicy::Truncated.
+// saturation, and propagation into RunRetryLadder.
 
 #include "util/clock.h"
 
@@ -71,14 +71,19 @@ TEST(DeadlineTest, AtTickPinsAnAbsolutePoint) {
 }
 
 TEST(DeadlineTest, PropagatesIntoRetryPolicyViaTruncated) {
-  // The intended composition: an enclosing request deadline narrows the
-  // nested retry loop's budget instead of letting it widen the request's.
+  // The intended composition: an enclosing request deadline bounds the
+  // nested retry ladder instead of letting the policy widen the request's.
   SimClock clock;
   Deadline deadline = Deadline::After(clock, 20);
   clock.Advance(15);
   RetryPolicy policy;  // deadline_ticks = 512 by default
-  RetryPolicy scoped = policy.Truncated(deadline.remaining_ticks(clock));
-  EXPECT_EQ(scoped.deadline_ticks, 5u);
+  policy.initial_backoff_ticks = 5;
+  policy.backoff_multiplier = 1.0;
+  auto result = RunRetryLadder<int>(
+      policy, deadline, &clock, /*breaker=*/nullptr, "nested call",
+      [](size_t) -> Result<int> { return Status::Unavailable("busy"); });
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(clock.now(), deadline.tick());
 }
 
 TEST(DeadlineTest, ErrorHelperIsTyped) {
