@@ -6,14 +6,9 @@
 // bench measures that promise — the same fault-injected statistical batch
 // served (a) with no instruments attached and (b) with a full bundle
 // (registry + trace + budget accountant) attached and published — and
-// prints the relative overhead. The acceptance bar is < 5%.
-//
-// The third arm is the compiled-out reference: rebuild with
-// -DTRIPRIV_OBS=OFF (TRIPRIV_OBS_DISABLED) and rerun this bench; the
-// "instrumented" arm then runs the same attach calls against empty inline
-// bodies, so (instrumented ON) vs (instrumented OFF) isolates the true
-// instruction cost. The dump at the end is the CI artifact: the metrics and
-// trace JSON of one instrumented run.
+// prints the relative overhead. The acceptance bar is < 5%. The dump at
+// the end is the CI artifact: the metrics and trace JSON of one
+// instrumented run.
 
 #include <algorithm>
 #include <chrono>
@@ -96,12 +91,6 @@ double TrialSeconds(const std::vector<StatQuery>& batch, const DataTable& data,
 int main() {
   using namespace tripriv;
   std::printf("=== TriPriv bench: observability overhead ===\n");
-#ifdef TRIPRIV_OBS_DISABLED
-  std::printf("build: TRIPRIV_OBS=OFF (instruments compiled out; this run "
-              "is the reference arm)\n");
-#else
-  std::printf("build: TRIPRIV_OBS=ON (instruments compiled in)\n");
-#endif
   // A serving-sized table: per-query cost must reflect a real scan, not the
   // paper's 11-row illustration, or fixed per-span nanoseconds dominate.
   const DataTable data = MakeClinicalTrial(2000, 7);
@@ -114,7 +103,7 @@ int main() {
   obs::MetricsRegistry registry;
   obs::TraceRecorder trace(&clock, 512);
   obs::PrivacyBudgetAccountant accountant(&registry);
-  auto bundle = obs::ServiceMetrics::Create(&registry, &trace, &accountant, {});
+  auto bundle = obs::ServiceMetrics::Create(&registry, &trace, &accountant);
   TRIPRIV_CHECK(bundle.ok());
 
   // Interleave the arms and keep each arm's best trial: min-of-N is robust

@@ -16,9 +16,7 @@
 //
 // A nonzero exit is a regression signal CI treats like a failing test. The
 // simulator is deterministic, so a verdict flip is a real behavior change,
-// never run-to-run noise. With -DTRIPRIV_OBS=OFF the histograms are
-// compiled out; the bounded-harm arm still gates, the SLO arm reports
-// SKIPPED.
+// never run-to-run noise.
 
 #include <cstdint>
 #include <cstdio>
@@ -44,7 +42,6 @@ struct Mix {
   TrafficProfile profile;
 };
 
-#ifndef TRIPRIV_OBS_DISABLED
 // Latency targets in sim ticks. Well-behaved classes hold the same bar in
 // every mix, flood included; the abusive class only promises "eventually".
 std::vector<obs::SloTarget> Targets() {
@@ -56,7 +53,6 @@ std::vector<obs::SloTarget> Targets() {
       {"unattributed", /*p50=*/1, /*p99=*/1},  // no traffic: vacuous
   };
 }
-#endif
 
 SimulatorConfig MixConfig(const TrafficProfile& profile) {
   SimulatorConfig config;
@@ -107,12 +103,6 @@ void PrintTotals(const SimulationReport& report) {
 int main() {
   using namespace tripriv;
   std::printf("=== TriPriv bench: traffic SLO gate ===\n");
-#ifdef TRIPRIV_OBS_DISABLED
-  std::printf("build: TRIPRIV_OBS=OFF (latency histograms compiled out; "
-              "SLO arm SKIPPED, bounded-harm arm still gates)\n");
-#else
-  std::printf("build: TRIPRIV_OBS=ON\n");
-#endif
 
   const Mix mixes[] = {
       {"steady", TrafficProfile::Steady(1)},
@@ -145,7 +135,6 @@ int main() {
     std::printf("  bounded harm: %s\n", harm_ok ? "PASS" : "VIOLATED");
     all_ok = all_ok && harm_ok;
 
-#ifndef TRIPRIV_OBS_DISABLED
     auto slo = obs::SloGate().Evaluate(registry.Snapshot(), Targets());
     if (!slo.ok()) {
       std::printf("  slo gate error: %s\n", slo.status().ToString().c_str());
@@ -154,7 +143,6 @@ int main() {
     }
     std::printf("%s", obs::RenderSloReport(*slo).c_str());
     all_ok = all_ok && slo->ok;
-#endif
   }
 
   std::printf("\noverall: %s\n", all_ok ? "PASS" : "FAIL");

@@ -1,6 +1,8 @@
 #include "attack/profiling.h"
 
 #include <algorithm>
+#include <set>
+#include <sstream>
 #include <unordered_map>
 
 #include "attack/equivocation.h"
@@ -19,6 +21,52 @@ struct PrincipalScore {
 };
 
 }  // namespace
+
+std::string UserProfile::TopInterest() const {
+  std::string best;
+  size_t best_count = 0;
+  for (const auto& [attr, count] : attribute_interest) {
+    if (count > best_count) {
+      best = attr;
+      best_count = count;
+    }
+  }
+  return best;
+}
+
+std::string UserProfile::ToString() const {
+  std::ostringstream os;
+  os << queries << " queries, " << distinct_predicates
+     << " distinct predicates; interests:";
+  for (const auto& [attr, count] : attribute_interest) {
+    os << " " << attr << "(" << count << ")";
+  }
+  return os.str();
+}
+
+UserProfile ProfileQueryLog(const std::vector<StatQuery>& log) {
+  UserProfile profile;
+  profile.queries = log.size();
+  std::set<std::string> predicates;
+  for (const auto& query : log) {
+    profile.function_use[AggregateFnToString(query.fn)]++;
+    for (const auto& attr : query.where.ReferencedAttributes()) {
+      profile.attribute_interest[attr]++;
+    }
+    predicates.insert(query.where.ToString());
+  }
+  profile.distinct_predicates = predicates.size();
+  return profile;
+}
+
+double QueryLogVisibility(const std::vector<StatQuery>& log) {
+  if (log.empty()) return 0.0;
+  size_t with_predicates = 0;
+  for (const auto& query : log) {
+    if (!query.where.ReferencedAttributes().empty()) ++with_predicates;
+  }
+  return static_cast<double>(with_predicates) / static_cast<double>(log.size());
+}
 
 Result<AttackOutcome> RunQueryLogProfilingAttack(
     const std::vector<traffic::AccessEvent>& trail,

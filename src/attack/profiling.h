@@ -2,9 +2,14 @@
 //
 // User privacy in the paper is the querier's interest staying hidden from
 // the database owner. The adversary here IS the service: it reads its own
-// audit trail (service/traffic/simulator.h AccessEvent) or its PIR
-// replica's observation log and tries to answer "what is this principal
-// interested in?".
+// query log, audit trail (service/traffic/simulator.h AccessEvent) or its
+// PIR replica's observation log and tries to answer "what is this principal
+// interested in?". The paper's Section 1 motivation is the August 2006 AOL
+// release — 36 million user queries, each a window into a person's life.
+//
+//   * ProfileQueryLog / QueryLogVisibility — the plaintext statistical
+//     query log: which attributes and value regions a user probed, and how
+//     much of the log is visible to the owner at all.
 //
 //   * RunQueryLogProfilingAttack — per-principal interest profiling over
 //     the access trail. Unblinded (no PIR), the owner sees every (principal,
@@ -29,13 +34,43 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "attack/attack.h"
+#include "querydb/query.h"
 #include "service/traffic/simulator.h"
 
 namespace tripriv {
 namespace attack {
+
+/// An owner-side profile distilled from a user's query log.
+struct UserProfile {
+  /// How often each attribute was referenced in WHERE clauses.
+  std::map<std::string, size_t> attribute_interest;
+  /// How often each aggregate function was used.
+  std::map<std::string, size_t> function_use;
+  /// Number of logged queries.
+  size_t queries = 0;
+  /// Number of distinct WHERE predicates (verbatim).
+  size_t distinct_predicates = 0;
+
+  /// The attribute the user probed most (empty when no predicates logged).
+  std::string TopInterest() const;
+  /// Human-readable rendering.
+  std::string ToString() const;
+};
+
+/// Builds the profile an owner can extract from `log`.
+UserProfile ProfileQueryLog(const std::vector<StatQuery>& log);
+
+/// A [0, 1] score of how much the log reveals: 0 when the log is empty or
+/// predicate-free, approaching 1 as queries carry many distinct,
+/// attribute-rich predicates. Defined as the fraction of logged queries
+/// whose full predicate is visible (which, for a plaintext query channel,
+/// is all of them — the measured "none" user-privacy grade of Table 2).
+double QueryLogVisibility(const std::vector<StatQuery>& log);
 
 struct ProfilingConfig {
   /// Simulate the PIR deployment: the trail's keys are invisible and the

@@ -1,6 +1,5 @@
 #include "obs/instruments.h"
 
-#include <utility>
 #include <vector>
 
 namespace tripriv {
@@ -14,68 +13,20 @@ const char* TenantClassLabel(uint8_t cls) {
   return cls < kNumTenantClasses ? kNames[cls] : "unattributed";
 }
 
-#ifdef TRIPRIV_OBS_DISABLED
-
-// Compiled-out build: hand back an inert bundle; every push/publish method
-// already has an empty body, so no registration cost either.
-Result<ServiceMetrics> ServiceMetrics::Create(MetricsRegistry* /*registry*/,
-                                              TraceRecorder* trace,
-                                              PrivacyBudgetAccountant*,
-                                              ServiceMetricsOptions options) {
-  ServiceMetrics metrics;
-  metrics.options_ = std::move(options);
-  metrics.trace_ = trace;
-  return metrics;
-}
-
-Result<EpochMetrics> EpochMetrics::Create(MetricsRegistry* /*registry*/) {
-  return EpochMetrics();
-}
-
-Result<TrafficMetrics> TrafficMetrics::Create(MetricsRegistry* /*registry*/) {
-  return TrafficMetrics();
-}
-
-Result<AttackMetrics> AttackMetrics::Create(MetricsRegistry* /*registry*/) {
-  return AttackMetrics();
-}
-
-#else
-
 namespace {
 const char* const kShedReasonNames[kNumShedReasons] = {"queue_full",
                                                        "overload", "deadline"};
 }  // namespace
 
-Result<ServiceMetrics> ServiceMetrics::Create(MetricsRegistry* registry,
-                                              TraceRecorder* trace,
-                                              PrivacyBudgetAccountant* accountant,
-                                              ServiceMetricsOptions options) {
+Result<ServiceMetrics> ServiceMetrics::Create(
+    MetricsRegistry* registry, TraceRecorder* trace,
+    PrivacyBudgetAccountant* accountant) {
   if (registry == nullptr) {
     return Status::InvalidArgument("ServiceMetrics requires a registry");
   }
   ServiceMetrics metrics;
-  metrics.options_ = std::move(options);
   metrics.trace_ = trace;
   metrics.accountant_ = accountant;
-
-  if (accountant != nullptr) {
-    // Both epsilon principals spend respondent privacy (epsilon is a DP
-    // quantity); kAlreadyExists means the caller pre-registered them with
-    // its own budgets, which is fine.
-    Status degraded = accountant->RegisterPrincipal(
-        metrics.options_.degraded_principal, PrivacyDimension::kRespondent,
-        metrics.options_.degraded_budget);
-    if (!degraded.ok() && degraded.code() != StatusCode::kAlreadyExists) {
-      return degraded;
-    }
-    Status aggregate = accountant->RegisterPrincipal(
-        metrics.options_.aggregate_principal, PrivacyDimension::kRespondent,
-        metrics.options_.aggregate_budget);
-    if (!aggregate.ok() && aggregate.code() != StatusCode::kAlreadyExists) {
-      return aggregate;
-    }
-  }
 
   static const char* kTierValues[3] = {"protected", "dp_degraded", "refused"};
   for (int t = 0; t < 3; ++t) {
@@ -180,9 +131,10 @@ Result<ServiceMetrics> ServiceMetrics::Create(MetricsRegistry* registry,
                               {{"dimension", "user"}}));
   TRIPRIV_ASSIGN_OR_RETURN(
       metrics.pir_failovers_,
-      registry->RegisterGauge("tripriv_pir_failover_replays",
-                              "PIR queries replayed on a fallback server pair",
-                              {{"dimension", "user"}}));
+      registry->RegisterGauge(
+          "tripriv_pir_failover_replays",
+          "PIR queries replayed on a fallback replica group",
+          {{"dimension", "user"}}));
   TRIPRIV_ASSIGN_OR_RETURN(
       metrics.pir_corrupt_,
       registry->RegisterGauge("tripriv_pir_corrupt_answers",
@@ -191,7 +143,7 @@ Result<ServiceMetrics> ServiceMetrics::Create(MetricsRegistry* registry,
   TRIPRIV_ASSIGN_OR_RETURN(
       metrics.pir_queries_,
       registry->RegisterGauge("tripriv_pir_queries_answered",
-                              "PIR queries answered across server pairs",
+                              "PIR queries answered across replica groups",
                               {{"dimension", "user"}}));
   TRIPRIV_ASSIGN_OR_RETURN(
       metrics.pir_upload_bits_,
@@ -216,42 +168,6 @@ Result<ServiceMetrics> ServiceMetrics::Create(MetricsRegistry* registry,
           "tripriv_pir_sessions",
           "Live recursive-PIR expansion sessions across tenant classes",
           {{"dimension", "user"}}));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.channel_retransmissions_,
-      registry->RegisterGauge("tripriv_channel_retransmissions",
-                              "SMC channel frames retransmitted"));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.channel_timeouts_,
-      registry->RegisterGauge("tripriv_channel_receive_timeouts",
-                              "SMC channel receives that hit their deadline"));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.channel_duplicates_,
-      registry->RegisterGauge("tripriv_channel_duplicates",
-                              "Duplicate frames discarded by the channel"));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.channel_checksum_failures_,
-      registry->RegisterGauge("tripriv_channel_checksum_failures",
-                              "Frames dropped for checksum mismatch"));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.pool_barrier_waits_,
-      registry->RegisterGauge("tripriv_pool_barrier_waits",
-                              "ParallelFor barrier waits (one per call)"));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      metrics.pool_items_,
-      registry->RegisterGauge("tripriv_pool_items",
-                              "Items dispatched across all ParallelFor calls"));
-  if (metrics.options_.include_thread_variant) {
-    // These depend on the worker count by construction; registering them is
-    // an explicit opt out of the thread-count-invariant snapshot.
-    TRIPRIV_ASSIGN_OR_RETURN(
-        metrics.pool_shards_,
-        registry->RegisterGauge("tripriv_pool_shards",
-                                "Shards executed (varies with thread count)"));
-    TRIPRIV_ASSIGN_OR_RETURN(
-        metrics.pool_threads_,
-        registry->RegisterGauge("tripriv_pool_threads",
-                                "Worker threads (varies with configuration)"));
-  }
   return metrics;
 }
 
@@ -410,8 +326,6 @@ Result<AttackMetrics> AttackMetrics::Create(MetricsRegistry* registry) {
   }
   return metrics;
 }
-
-#endif  // TRIPRIV_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace tripriv

@@ -3,26 +3,19 @@
 // ServiceMetrics bundles a MetricsRegistry, an optional TraceRecorder, and
 // an optional PrivacyBudgetAccountant behind an API of primitives — tier
 // indices, byte counts, tick values — so the layers it observes
-// (src/service, src/pir, src/smc, util/thread_pool) never depend on obs
-// types beyond this one header, and obs never depends back on them (no
-// cycle). Two flow directions:
+// (src/service, src/pir) never depend on obs types beyond this one header,
+// and obs never depends back on them (no cycle). Two flow directions:
 //
 //   push     event-driven, from the serial serving path: OnAnswer, OnShed,
 //            OnWalAppend (fsync-latency histogram), batch-size histograms,
 //            epsilon spends;
 //   publish  sampled, from an explicit publish step: component self-
-//            counters (breaker state, queue depth, PIR failovers, channel
-//            retransmits, pool barrier waits) copied into gauges.
+//            counters (breaker state, queue depth, PIR failovers) copied
+//            into gauges.
 //
-// Determinism: every always-on series is a pure function of the workload.
-// Metrics whose value necessarily depends on the worker count (shards
-// dispatched, thread count) are registered ONLY when
-// ServiceMetricsOptions::include_thread_variant is set — the byte-identical
-// snapshot contract across 0/1/2/8 threads holds for the default set.
-//
-// Building with -DTRIPRIV_OBS=OFF defines TRIPRIV_OBS_DISABLED, which
-// compiles every push/publish method to an empty inline body — the
-// reference build bench_obs_overhead compares the always-on cost against.
+// Every registered series has code in src/ that writes it, and every value
+// is a pure function of the workload, so snapshots are byte-identical at
+// 0/1/2/8 threads. To run uninstrumented, attach no bundle.
 
 #pragma once
 
@@ -36,17 +29,6 @@
 
 namespace tripriv {
 namespace obs {
-
-#ifdef TRIPRIV_OBS_DISABLED
-#define TRIPRIV_OBS_BODY(...) {}
-// Compiled-out bodies leave every push/publish parameter unused by design;
-// the suppression is scoped to this header (popped at the bottom) so the
-// warning stays live everywhere else.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wunused-parameter"
-#else
-#define TRIPRIV_OBS_BODY(...) { __VA_ARGS__ }
-#endif
 
 /// Answer tiers as stable indices (mirrors service AnswerTier).
 inline constexpr uint8_t kTierProtected = 0;
@@ -79,19 +61,11 @@ inline constexpr uint8_t kShedOverload = 1;
 inline constexpr uint8_t kShedDeadline = 2;
 inline constexpr uint8_t kNumShedReasons = 3;
 
-struct ServiceMetricsOptions {
-  /// Principal charged by the degraded (epsilon-DP Laplace) path.
-  std::string degraded_principal = "degraded_path";
-  /// Principal charged by the aggregate-PIR DP-count path.
-  std::string aggregate_principal = "aggregate_path";
-  /// Budgets for the two principals (mirrors QueryServiceConfig's
-  /// epsilon_budget; the WAL remains the enforcement point).
-  double degraded_budget = 8.0;
-  double aggregate_budget = 8.0;
-  /// Registers thread-variant series (pool shards, worker count) too —
-  /// leave off where the snapshot must be thread-count-invariant.
-  bool include_thread_variant = false;
-};
+/// The accountant principal that mirrors QueryService's one epsilon pool.
+/// The degraded path and the aggregate-PIR DP count both draw on that pool,
+/// so one principal, with the service's epsilon_budget, is the binding
+/// respondent guarantee.
+inline constexpr char kEpsilonPrincipal[] = "degraded_path";
 
 /// Handle bundle; see file comment. Create registers every series up
 /// front, so the hot path only touches preallocated slots.
@@ -101,107 +75,90 @@ class ServiceMetrics {
   /// null (spans / budget mirroring are then skipped).
   static Result<ServiceMetrics> Create(MetricsRegistry* registry,
                                        TraceRecorder* trace,
-                                       PrivacyBudgetAccountant* accountant,
-                                       ServiceMetricsOptions options = {});
+                                       PrivacyBudgetAccountant* accountant);
 
   // --- push API (serial serving path) ---------------------------------
 
-  void OnAnswer(uint8_t tier) TRIPRIV_OBS_BODY(
-      if (tier <= kTierRefused) tier_counters_[tier]->Increment();)
+  void OnAnswer(uint8_t tier) {
+    if (tier <= kTierRefused) tier_counters_[tier]->Increment();
+  }
   /// One admission-control shed, attributed to a tenant class so per-class
   /// shed *rates* are observable. `cls` is a kClass* index (an allowlisted
   /// label, never a principal id); out-of-range falls back to unattributed.
-  void OnShed(uint8_t cls) TRIPRIV_OBS_BODY(
-      shed_->Increment();
-      shed_by_class_[cls < kNumTenantClasses ? cls : kClassUnattributed]
-          ->Increment();)
-  void OnPolicyRefusal() TRIPRIV_OBS_BODY(policy_refusals_->Increment();)
-  void OnCrash() TRIPRIV_OBS_BODY(crashes_->Increment();)
+  void OnShed(uint8_t cls) {
+    shed_->Increment();
+    shed_by_class_[cls < kNumTenantClasses ? cls : kClassUnattributed]
+        ->Increment();
+  }
+  void OnPolicyRefusal() { policy_refusals_->Increment(); }
+  void OnCrash() { crashes_->Increment(); }
   /// One WAL append attempt: `bytes` framed, `ok` durable. The fsync-tick
   /// histogram uses the deterministic device model in WalFsyncTicks.
-  void OnWalAppend(uint64_t bytes, bool ok) TRIPRIV_OBS_BODY(
-      if (ok) {
-        wal_appends_->Increment();
-        wal_bytes_->Add(bytes);
-        wal_fsync_ticks_->Observe(WalFsyncTicks(bytes));
-      } else {
-        wal_append_failures_->Increment();
-      })
-  void OnStatBatch(uint64_t size)
-      TRIPRIV_OBS_BODY(stat_batch_size_->Observe(size);)
-  void OnPirBatch(uint64_t size)
-      TRIPRIV_OBS_BODY(pir_batch_size_->Observe(size);)
-  void OnPirRead() TRIPRIV_OBS_BODY(pir_reads_->Increment();)
+  void OnWalAppend(uint64_t bytes, bool ok) {
+    if (ok) {
+      wal_appends_->Increment();
+      wal_bytes_->Add(bytes);
+      wal_fsync_ticks_->Observe(WalFsyncTicks(bytes));
+    } else {
+      wal_append_failures_->Increment();
+    }
+  }
+  void OnStatBatch(uint64_t size) { stat_batch_size_->Observe(size); }
+  void OnPirBatch(uint64_t size) { pir_batch_size_->Observe(size); }
+  void OnPirRead() { pir_reads_->Increment(); }
   /// Mirrors one durable epsilon spend into the accountant's gauges.
-  void OnEpsilonSpend(bool aggregate_path, double epsilon) TRIPRIV_OBS_BODY(
-      if (accountant_ != nullptr) {
-        IgnoreError(accountant_->RecordSpend(
-            aggregate_path ? options_.aggregate_principal
-                           : options_.degraded_principal,
-            epsilon));
-      })
-  /// Seeds the degraded principal's gauges from WAL-recovered spend.
-  /// `epsilon` is the ABSOLUTE recovered total, and the sync is idempotent:
-  /// recovering the same WAL twice (crash, re-Create, re-attach to the same
-  /// accountant) leaves the gauges where one recovery put them instead of
+  void OnEpsilonSpend(double epsilon) {
+    if (accountant_ != nullptr) {
+      IgnoreError(accountant_->RecordSpend(kEpsilonPrincipal, epsilon));
+    }
+  }
+  /// Mirrors the service's epsilon pool into the accountant: registers
+  /// kEpsilonPrincipal with `budget` (a re-attach finds it already
+  /// registered, which is fine) and raises its spend to `recovered`, the
+  /// ABSOLUTE WAL-recovered total. The sync is idempotent: recovering the
+  /// same WAL twice (crash, re-Create, re-attach to the same accountant)
+  /// leaves the gauges where one recovery put them instead of
   /// double-charging the spend.
-  void OnEpsilonRecovered(double epsilon) TRIPRIV_OBS_BODY(
-      if (accountant_ != nullptr && epsilon > 0.0) {
-        IgnoreError(accountant_->SyncRecoveredSpend(
-            options_.degraded_principal, epsilon));
-      })
+  void MirrorEpsilonPool(double budget, double recovered) {
+    if (accountant_ != nullptr) {
+      IgnoreError(accountant_->RegisterPrincipal(
+          kEpsilonPrincipal, PrivacyDimension::kRespondent, budget));
+      IgnoreError(
+          accountant_->SyncRecoveredSpend(kEpsilonPrincipal, recovered));
+    }
+  }
 
   // --- publish API (sampled component counters -> gauges) -------------
 
-  void PublishQueueDepth(uint64_t depth)
-      TRIPRIV_OBS_BODY(queue_depth_->Set(static_cast<double>(depth));)
+  void PublishQueueDepth(uint64_t depth) {
+    queue_depth_->Set(static_cast<double>(depth));
+  }
   void PublishBreaker(bool primary, uint8_t state, uint64_t opens,
-                      uint64_t rejections, uint64_t half_open_probes)
-      TRIPRIV_OBS_BODY(const size_t i = primary ? 0 : 1;
-                       breaker_state_[i]->Set(static_cast<double>(state));
-                       breaker_opens_[i]->Set(static_cast<double>(opens));
-                       breaker_rejections_[i]->Set(
-                           static_cast<double>(rejections));
-                       breaker_probes_[i]->Set(
-                           static_cast<double>(half_open_probes));)
+                      uint64_t rejections, uint64_t half_open_probes) {
+    const size_t i = primary ? 0 : 1;
+    breaker_state_[i]->Set(static_cast<double>(state));
+    breaker_opens_[i]->Set(static_cast<double>(opens));
+    breaker_rejections_[i]->Set(static_cast<double>(rejections));
+    breaker_probes_[i]->Set(static_cast<double>(half_open_probes));
+  }
   void PublishPir(uint64_t bytes_xored, uint64_t failovers,
-                  uint64_t corrupt_answers, uint64_t queries_answered)
-      TRIPRIV_OBS_BODY(
-          pir_bytes_xored_->Set(static_cast<double>(bytes_xored));
-          pir_failovers_->Set(static_cast<double>(failovers));
-          pir_corrupt_->Set(static_cast<double>(corrupt_answers));
-          pir_queries_->Set(static_cast<double>(queries_answered));)
+                  uint64_t corrupt_answers, uint64_t queries_answered) {
+    pir_bytes_xored_->Set(static_cast<double>(bytes_xored));
+    pir_failovers_->Set(static_cast<double>(failovers));
+    pir_corrupt_->Set(static_cast<double>(corrupt_answers));
+    pir_queries_->Set(static_cast<double>(queries_answered));
+  }
   /// Recursive-PIR transport series: query upload shipped, hypercube cells
   /// expanded server-side, bytes pinned by preprocessed dense layouts,
   /// and live expansion sessions (all aggregates over allowlisted tenant
   /// classes — never per-principal).
   void PublishPirTransport(uint64_t upload_bits, uint64_t expanded_cells,
-                           uint64_t preprocess_bytes, uint64_t sessions)
-      TRIPRIV_OBS_BODY(
-          pir_upload_bits_->Set(static_cast<double>(upload_bits));
-          pir_expanded_cells_->Set(static_cast<double>(expanded_cells));
-          pir_preprocess_bytes_->Set(static_cast<double>(preprocess_bytes));
-          pir_sessions_->Set(static_cast<double>(sessions));)
-  void PublishChannel(uint64_t retransmissions, uint64_t timeouts,
-                      uint64_t duplicates, uint64_t checksum_failures)
-      TRIPRIV_OBS_BODY(
-          channel_retransmissions_->Set(static_cast<double>(retransmissions));
-          channel_timeouts_->Set(static_cast<double>(timeouts));
-          channel_duplicates_->Set(static_cast<double>(duplicates));
-          channel_checksum_failures_->Set(
-              static_cast<double>(checksum_failures));)
-  /// Thread-count-invariant pool counters (one barrier wait per
-  /// ParallelFor; items = sum of n across calls).
-  void PublishPool(uint64_t barrier_waits, uint64_t items)
-      TRIPRIV_OBS_BODY(
-          pool_barrier_waits_->Set(static_cast<double>(barrier_waits));
-          pool_items_->Set(static_cast<double>(items));)
-  /// Thread-VARIANT pool counters; no-op unless include_thread_variant.
-  void PublishPoolThreadVariant(uint64_t shards, uint64_t threads)
-      TRIPRIV_OBS_BODY(if (pool_shards_ != nullptr) {
-        pool_shards_->Set(static_cast<double>(shards));
-        pool_threads_->Set(static_cast<double>(threads));
-      })
+                           uint64_t preprocess_bytes, uint64_t sessions) {
+    pir_upload_bits_->Set(static_cast<double>(upload_bits));
+    pir_expanded_cells_->Set(static_cast<double>(expanded_cells));
+    pir_preprocess_bytes_->Set(static_cast<double>(preprocess_bytes));
+    pir_sessions_->Set(static_cast<double>(sessions));
+  }
 
   /// Deterministic fsync-latency model of the simulated WAL device: one
   /// base tick plus one tick per 64 framed bytes. Accounted, not charged —
@@ -209,22 +166,13 @@ class ServiceMetrics {
   /// changes serving behaviour.
   static uint64_t WalFsyncTicks(uint64_t bytes) { return 1 + bytes / 64; }
 
-  /// The attached recorder, or null when instruments are compiled out —
-  /// span recording disappears behind the same switch as metric pushes.
-  TraceRecorder* trace() const {
-#ifdef TRIPRIV_OBS_DISABLED
-    return nullptr;
-#else
-    return trace_;
-#endif
-  }
+  /// The attached recorder, or null when spans are not recorded.
+  TraceRecorder* trace() const { return trace_; }
   PrivacyBudgetAccountant* accountant() const { return accountant_; }
-  const ServiceMetricsOptions& options() const { return options_; }
 
  private:
   ServiceMetrics() = default;
 
-  ServiceMetricsOptions options_;
   TraceRecorder* trace_ = nullptr;
   PrivacyBudgetAccountant* accountant_ = nullptr;
 
@@ -254,14 +202,6 @@ class ServiceMetrics {
   Gauge* pir_expanded_cells_ = nullptr;
   Gauge* pir_preprocess_bytes_ = nullptr;
   Gauge* pir_sessions_ = nullptr;
-  Gauge* channel_retransmissions_ = nullptr;
-  Gauge* channel_timeouts_ = nullptr;
-  Gauge* channel_duplicates_ = nullptr;
-  Gauge* channel_checksum_failures_ = nullptr;
-  Gauge* pool_barrier_waits_ = nullptr;
-  Gauge* pool_items_ = nullptr;
-  Gauge* pool_shards_ = nullptr;   // thread-variant, may stay null
-  Gauge* pool_threads_ = nullptr;  // thread-variant, may stay null
 };
 
 /// Stable indices for mutation kinds (mirrors table MutationKind).
@@ -273,10 +213,9 @@ inline constexpr uint8_t kMutationUpdate = 2;
 /// (service/epoch_service.h): epoch gauges, flip-latency histograms, and
 /// refused-flip counters. Same discipline as ServiceMetrics — push calls
 /// come from the serial flip path, publish calls from an explicit publish
-/// step, every series is a pure function of the workload (flip latency is
-/// SimClock ticks from the deterministic cost model, so snapshots stay
-/// byte-identical at any thread count), and -DTRIPRIV_OBS=OFF compiles
-/// every body out.
+/// step, and every series is a pure function of the workload (flip latency
+/// is SimClock ticks from the deterministic cost model, so snapshots stay
+/// byte-identical at any thread count).
 class EpochMetrics {
  public:
   /// `registry` must outlive the bundle.
@@ -284,30 +223,32 @@ class EpochMetrics {
 
   // --- push API (serial flip / write-admission path) -------------------
 
-  void OnMutationAdmitted(uint8_t kind) TRIPRIV_OBS_BODY(
-      if (kind <= kMutationUpdate) mutation_counters_[kind]->Increment();)
-  void OnMutationShed() TRIPRIV_OBS_BODY(mutations_shed_->Increment();)
-  void OnFlipCommitted(uint64_t latency_ticks, uint64_t rows_reclustered)
-      TRIPRIV_OBS_BODY(flips_committed_->Increment();
-                       flip_latency_ticks_->Observe(latency_ticks);
-                       rows_reclustered_->Add(rows_reclustered);)
+  void OnMutationAdmitted(uint8_t kind) {
+    if (kind <= kMutationUpdate) mutation_counters_[kind]->Increment();
+  }
+  void OnMutationShed() { mutations_shed_->Increment(); }
+  void OnFlipCommitted(uint64_t latency_ticks, uint64_t rows_reclustered) {
+    flips_committed_->Increment();
+    flip_latency_ticks_->Observe(latency_ticks);
+    rows_reclustered_->Add(rows_reclustered);
+  }
   /// A refused flip: `privacy_gate` distinguishes the fail-closed k-gate
   /// from store/WAL faults and invalid batches.
-  void OnFlipRefused(bool privacy_gate) TRIPRIV_OBS_BODY(
-      (privacy_gate ? flips_refused_privacy_ : flips_refused_io_)
-          ->Increment();)
+  void OnFlipRefused(bool privacy_gate) {
+    (privacy_gate ? flips_refused_privacy_ : flips_refused_io_)->Increment();
+  }
 
   // --- publish API (sampled epoch state -> gauges) ---------------------
 
   void PublishEpochState(uint64_t epoch, uint64_t live_epochs,
                          uint64_t peak_live_epochs,
-                         uint64_t pending_mutations, uint64_t store_images)
-      TRIPRIV_OBS_BODY(
-          current_epoch_->Set(static_cast<double>(epoch));
-          live_epochs_->Set(static_cast<double>(live_epochs));
-          peak_live_epochs_->Set(static_cast<double>(peak_live_epochs));
-          pending_mutations_->Set(static_cast<double>(pending_mutations));
-          store_images_->Set(static_cast<double>(store_images));)
+                         uint64_t pending_mutations, uint64_t store_images) {
+    current_epoch_->Set(static_cast<double>(epoch));
+    live_epochs_->Set(static_cast<double>(live_epochs));
+    peak_live_epochs_->Set(static_cast<double>(peak_live_epochs));
+    pending_mutations_->Set(static_cast<double>(pending_mutations));
+    store_images_->Set(static_cast<double>(store_images));
+  }
 
  private:
   EpochMetrics() = default;
@@ -330,10 +271,9 @@ class EpochMetrics {
 /// arrival/answer/shed counters, the per-class latency le-histograms the
 /// SloGate reads p50/p99 from, and backlog gauges. Same discipline as the
 /// other bundles — push calls come from the serial scheduler loop, publish
-/// calls from an explicit publish step, every label is a class or reason
-/// constant (never a principal id), and -DTRIPRIV_OBS=OFF compiles every
-/// body out. Latency values are SimClock ticks, so snapshots stay
-/// byte-identical at any thread count.
+/// calls from an explicit publish step, and every label is a class or
+/// reason constant (never a principal id). Latency values are SimClock
+/// ticks, so snapshots stay byte-identical at any thread count.
 class TrafficMetrics {
  public:
   /// `registry` must outlive the bundle.
@@ -341,25 +281,31 @@ class TrafficMetrics {
 
   // --- push API (serial scheduler loop) --------------------------------
 
-  void OnArrival(uint8_t cls) TRIPRIV_OBS_BODY(
-      if (cls < kNumTenantClasses) arrivals_[cls]->Increment();)
+  void OnArrival(uint8_t cls) {
+    if (cls < kNumTenantClasses) arrivals_[cls]->Increment();
+  }
   /// One scheduler-side shed: `reason` is a kShed* index.
-  void OnShed(uint8_t cls, uint8_t reason) TRIPRIV_OBS_BODY(
-      if (cls < kNumTenantClasses && reason < kNumShedReasons)
-          shed_[cls][reason]->Increment();)
+  void OnShed(uint8_t cls, uint8_t reason) {
+    if (cls < kNumTenantClasses && reason < kNumShedReasons) {
+      shed_[cls][reason]->Increment();
+    }
+  }
   /// One released answer by degradation tier (kTier* index).
-  void OnAnswer(uint8_t cls, uint8_t tier) TRIPRIV_OBS_BODY(
-      if (cls < kNumTenantClasses && tier <= kTierRefused)
-          answers_[cls][tier]->Increment();)
+  void OnAnswer(uint8_t cls, uint8_t tier) {
+    if (cls < kNumTenantClasses && tier <= kTierRefused) {
+      answers_[cls][tier]->Increment();
+    }
+  }
   /// Queue-to-completion latency of one served request, in sim ticks.
-  void OnLatency(uint8_t cls, uint64_t ticks) TRIPRIV_OBS_BODY(
-      if (cls < kNumTenantClasses) latency_[cls]->Observe(ticks);)
+  void OnLatency(uint8_t cls, uint64_t ticks) {
+    if (cls < kNumTenantClasses) latency_[cls]->Observe(ticks);
+  }
 
   // --- publish API (sampled scheduler state -> gauges) -----------------
 
-  void PublishBacklog(uint8_t cls, uint64_t depth) TRIPRIV_OBS_BODY(
-      if (cls < kNumTenantClasses)
-          backlog_[cls]->Set(static_cast<double>(depth));)
+  void PublishBacklog(uint8_t cls, uint64_t depth) {
+    if (cls < kNumTenantClasses) backlog_[cls]->Set(static_cast<double>(depth));
+  }
 
  private:
   TrafficMetrics() = default;
@@ -384,8 +330,7 @@ inline constexpr uint8_t kNumDimensions = 3;
 /// success rates, bit counts — never the recovered records themselves, so
 /// the series stay inside the label allowlist by construction. Same
 /// discipline as the other bundles: push calls come from the serial
-/// attack-suite loop only (gauges are serial-only), and -DTRIPRIV_OBS=OFF
-/// compiles every body out.
+/// attack-suite loop only (gauges are serial-only).
 class AttackMetrics {
  public:
   /// `registry` must outlive the bundle.
@@ -395,12 +340,13 @@ class AttackMetrics {
 
   /// One finished attack: `dim` is a kDim* index; the gauges keep the most
   /// recent outcome per dimension (the scoreboard holds the full history).
-  void OnOutcome(uint8_t dim, double success_rate, double equivocation_bits)
-      TRIPRIV_OBS_BODY(if (dim < kNumDimensions) {
-        outcomes_[dim]->Increment();
-        success_rate_[dim]->Set(success_rate);
-        equivocation_bits_[dim]->Set(equivocation_bits);
-      })
+  void OnOutcome(uint8_t dim, double success_rate, double equivocation_bits) {
+    if (dim < kNumDimensions) {
+      outcomes_[dim]->Increment();
+      success_rate_[dim]->Set(success_rate);
+      equivocation_bits_[dim]->Set(equivocation_bits);
+    }
+  }
 
  private:
   AttackMetrics() = default;
@@ -409,11 +355,6 @@ class AttackMetrics {
   Gauge* success_rate_[kNumDimensions] = {};
   Gauge* equivocation_bits_[kNumDimensions] = {};
 };
-
-#undef TRIPRIV_OBS_BODY
-#ifdef TRIPRIV_OBS_DISABLED
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace obs
 }  // namespace tripriv

@@ -60,7 +60,7 @@ LabelAllowlist LabelAllowlist::Default() {
       {"tier", {"protected", "dp_degraded", "refused"}},
       {"dimension", {"respondent", "owner", "user"}},
       {"backend", {"primary", "dp", "aggregate", "pir"}},
-      {"principal", {"degraded_path", "aggregate_path"}},
+      {"principal", {"degraded_path"}},
       {"method",
        {"mdav", "mondrian", "condense", "noise", "rankswap", "datafly",
         "samarati"}},

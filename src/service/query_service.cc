@@ -313,8 +313,7 @@ Result<ProtectedAnswer> QueryService::TryPrimary(const StatQuery& query,
       });
 }
 
-Status QueryService::ChargeEpsilon(uint64_t query_id, uint64_t fingerprint,
-                                   bool aggregate_path) {
+Status QueryService::ChargeEpsilon(uint64_t query_id, uint64_t fingerprint) {
   // Charge memory FIRST: if the durable record then fails, the budget is
   // conservatively spent and the answer withheld — never the reverse.
   epsilon_spent_ += config_.degrade_epsilon;
@@ -338,7 +337,7 @@ Status QueryService::ChargeEpsilon(uint64_t query_id, uint64_t fingerprint,
   }
   // Mirror only DURABLE spends: the accountant is a read model of the WAL.
   if (metrics_ != nullptr) {
-    metrics_->OnEpsilonSpend(aggregate_path, config_.degrade_epsilon);
+    metrics_->OnEpsilonSpend(config_.degrade_epsilon);
   }
   return Status::OK();
 }
@@ -427,9 +426,8 @@ Result<int64_t> QueryService::PrivateDpCount(const Predicate& predicate,
   Status outcome = count.status();
   if (outcome.ok()) {
     const std::string canonical = predicate.ToString();
-    outcome = ChargeEpsilon(query_id,
-                            Fnv1a64(canonical.data(), canonical.size()),
-                            /*aggregate_path=*/true);
+    outcome =
+        ChargeEpsilon(query_id, Fnv1a64(canonical.data(), canonical.size()));
     if (outcome.ok()) {
       ++stats_.dp_answers;
       if (metrics_ != nullptr) metrics_->OnAnswer(obs::kTierDpDegraded);
@@ -461,10 +459,11 @@ void QueryService::AttachInstruments(obs::ServiceMetrics* metrics) {
     span_ids_.pir_read = trace.SpanNameId("pir_read");
     span_ids_.pir_batch = trace.SpanNameId("pir_batch");
   }
-  if (metrics_ != nullptr && epsilon_spent_ > 0.0) {
-    // Seed the budget read model with the WAL-recovered spend, so gauges
-    // agree with the durable log from the first snapshot on.
-    metrics_->OnEpsilonRecovered(epsilon_spent_);
+  if (metrics_ != nullptr) {
+    // Seed the budget read model with the enforced pool and the
+    // WAL-recovered spend, so gauges agree with the durable log from the
+    // first snapshot on.
+    metrics_->MirrorEpsilonPool(config_.epsilon_budget, epsilon_spent_);
   }
 }
 
@@ -498,9 +497,6 @@ uint64_t QueryService::BeginSpan(uint32_t name_id, uint64_t parent,
 }
 
 void QueryService::FinishSpan(uint64_t span, StatusCode code) {
-  // The trace() null-check mirrors BeginSpan: span can only be nonzero
-  // when a recorder was attached, but with instruments compiled out
-  // trace() is a constant nullptr and the guard keeps the call unreachable.
   if (span == 0 || metrics_ == nullptr || metrics_->trace() == nullptr) return;
   metrics_->trace()->EndSpan(span, code);
 }

@@ -112,7 +112,8 @@ struct QueryServiceConfig {
   /// Epsilon of ONE degraded answer.
   double degrade_epsilon = 0.5;
   /// Total epsilon the degraded path may spend over the service lifetime
-  /// (durable across restarts via the WAL).
+  /// (durable across restarts via the WAL). One pool: the aggregate-PIR
+  /// DP count draws on it too.
   double epsilon_budget = 8.0;
   AdmissionConfig admission;
   CircuitBreakerConfig breaker;
@@ -192,9 +193,10 @@ class QueryService {
   /// Attaches an observability bundle (must outlive the service; null
   /// detaches). From then on the serving ladder pushes counters, batch
   /// histograms, and — when the bundle carries a TraceRecorder — spans for
-  /// each ladder stage, and WAL-recovered epsilon spend is mirrored into
-  /// the bundle's budget accountant. Purely additive: instruments never
-  /// touch the request clock or change any serving decision.
+  /// each ladder stage, and the epsilon pool (epsilon_budget and the
+  /// WAL-recovered spend) is mirrored into the bundle's budget accountant
+  /// as the obs::kEpsilonPrincipal principal. Purely additive: instruments
+  /// never touch the request clock or change any serving decision.
   void AttachInstruments(obs::ServiceMetrics* metrics);
 
   /// Copies the sampled component counters (queue depth, breaker states,
@@ -273,10 +275,8 @@ class QueryService {
   /// The degraded (epsilon-DP) path: breaker + budget + WAL spend record.
   ServiceAnswer TryDegraded(const StatQuery& query, uint64_t query_id);
   /// Charges epsilon to the durable budget; OK only once the spend record
-  /// is durable. `aggregate_path` only routes the spend to the right
-  /// budget principal in the attached instruments.
-  Status ChargeEpsilon(uint64_t query_id, uint64_t fingerprint,
-                       bool aggregate_path = false);
+  /// is durable.
+  Status ChargeEpsilon(uint64_t query_id, uint64_t fingerprint);
 
   QueryServiceConfig config_;
   std::unique_ptr<SimClock> clock_;

@@ -102,7 +102,7 @@ struct SimulationReport {
   uint64_t wal_bytes = 0;
   uint64_t total_events = 0;
   uint64_t final_tick = 0;
-  /// obs JSON export (empty when `registry` was null or obs compiled out).
+  /// obs JSON export (empty when `registry` was null).
   std::string metrics_json;
   /// Served-request audit trail, in completion order; empty unless
   /// SimulatorConfig::record_access_trail. Part of the determinism

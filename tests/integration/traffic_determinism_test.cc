@@ -80,9 +80,7 @@ TEST(TrafficDeterminismTest, ReportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(serial.report.total_arrivals(), 1000u);
   EXPECT_GT(serial.report.total_scheduler_sheds(), 0u);
   EXPECT_GT(serial.report.wal_bytes, 0u);
-#ifndef TRIPRIV_OBS_DISABLED
   EXPECT_FALSE(serial.report.metrics_json.empty());
-#endif
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     ThreadPool pool(threads);

@@ -1,15 +1,21 @@
 // ServiceMetrics integration: the instrumented serving ladder's counters
 // mirror ServiceStats, spans follow the ladder stages, durable epsilon
-// spends (including WAL-recovered ones) mirror into the budget accountant,
-// and PublishMetrics copies component counters into gauges.
+// spends (including WAL-recovered ones) mirror into the budget accountant
+// as the one pool the service enforces, PublishMetrics copies component
+// counters into gauges, and the bundle registers only series that src/
+// writes.
 
 #include "obs/instruments.h"
+
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "obs/budget.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pir/aggregate.h"
 #include "querydb/query.h"
 #include "service/batch_executor.h"
 #include "service/pir_failover.h"
@@ -25,7 +31,6 @@ using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
 using obs::PrivacyBudgetAccountant;
 using obs::ServiceMetrics;
-using obs::ServiceMetricsOptions;
 using obs::TraceRecorder;
 
 StatQuery Parse(const std::string& sql) {
@@ -87,13 +92,11 @@ struct Harness {
   std::unique_ptr<PrivacyBudgetAccountant> accountant;
   std::unique_ptr<ServiceMetrics> metrics;
 
-  void Attach(QueryService* service, double epsilon_budget) {
+  void Attach(QueryService* service) {
     trace = std::make_unique<TraceRecorder>(service->sim_clock());
     accountant = std::make_unique<PrivacyBudgetAccountant>(&registry);
-    ServiceMetricsOptions options;
-    options.degraded_budget = epsilon_budget;
-    auto bundle = ServiceMetrics::Create(&registry, trace.get(),
-                                         accountant.get(), options);
+    auto bundle =
+        ServiceMetrics::Create(&registry, trace.get(), accountant.get());
     TRIPRIV_CHECK(bundle.ok());
     metrics = std::make_unique<ServiceMetrics>(std::move(*bundle));
     service->AttachInstruments(metrics.get());
@@ -105,7 +108,7 @@ TEST(InstrumentsTest, CountersMirrorServiceStats) {
   auto service = QueryService::Create(PaperDataset2(), AuditConfig(0.3), &wal);
   ASSERT_TRUE(service.ok());
   Harness harness;
-  harness.Attach(&*service, 8.0);
+  harness.Attach(&*service);
 
   BatchExecutor executor(&*service, nullptr);
   executor.ExecuteQueryBatch(WorkloadBatch());
@@ -154,7 +157,7 @@ TEST(InstrumentsTest, ShedsCarryTenantClassLabels) {
   auto service = QueryService::Create(PaperDataset2(), config, &wal);
   ASSERT_TRUE(service.ok());
   Harness harness;
-  harness.Attach(&*service, 8.0);
+  harness.Attach(&*service);
 
   // Fill the one admission slot, then shed twice: once tagged interactive,
   // once untagged (the tag resets after every request, so the third Submit
@@ -185,7 +188,7 @@ TEST(InstrumentsTest, SpansFollowTheServingLadder) {
   auto service = QueryService::Create(PaperDataset2(), AuditConfig(0.0), &wal);
   ASSERT_TRUE(service.ok());
   Harness harness;
-  harness.Attach(&*service, 8.0);
+  harness.Attach(&*service);
 
   const ServiceAnswer answer =
       service->Submit(Parse("SELECT COUNT(*) FROM t WHERE weight > 80"));
@@ -218,7 +221,7 @@ TEST(InstrumentsTest, EpsilonSpendsMirrorIntoBudget) {
   auto service = QueryService::Create(PaperDataset2(), AuditConfig(1.0), &wal);
   ASSERT_TRUE(service.ok());
   Harness harness;
-  harness.Attach(&*service, 8.0);
+  harness.Attach(&*service);
   for (const StatQuery& query : WorkloadBatch()) service->Submit(query);
   ASSERT_GT(service->stats().dp_answers, 0u);
   EXPECT_GT(service->epsilon_spent(), 0.0);
@@ -234,7 +237,7 @@ TEST(InstrumentsTest, EpsilonSpendsMirrorIntoBudget) {
   ASSERT_TRUE(restarted.ok());
   EXPECT_DOUBLE_EQ(restarted->epsilon_spent(), service->epsilon_spent());
   Harness fresh;
-  fresh.Attach(&*restarted, 8.0);
+  fresh.Attach(&*restarted);
   EXPECT_DOUBLE_EQ(fresh.accountant->spent("degraded_path"),
                    restarted->epsilon_spent());
 }
@@ -244,7 +247,7 @@ TEST(InstrumentsTest, PublishCopiesComponentCountersIntoGauges) {
   auto service = QueryService::Create(PaperDataset2(), AuditConfig(1.0), &wal);
   ASSERT_TRUE(service.ok());
   Harness harness;
-  harness.Attach(&*service, 8.0);
+  harness.Attach(&*service);
   for (const StatQuery& query : WorkloadBatch()) service->Submit(query);
 
   // A PIR backend with one always-corrupting server forces failovers.
@@ -305,6 +308,113 @@ TEST(InstrumentsTest, PublishCopiesComponentCountersIntoGauges) {
   ASSERT_NE(batch_size, nullptr);
   EXPECT_EQ(batch_size->histogram.count, 1u);
   EXPECT_EQ(batch_size->histogram.sum, 3u);
+}
+
+TEST(InstrumentsTest, EpsilonGaugesDescribeTheEnforcedPool) {
+  // The degraded path and the aggregate-PIR DP count draw on ONE epsilon
+  // pool. Once it is spent, both paths refuse, and the accountant must say
+  // so: one principal at the service's budget with nothing remaining, live
+  // and again after a restart on the same WAL.
+  MemWalIo wal;
+  QueryServiceConfig config = AuditConfig(1.0);
+  config.retry.max_attempts = 1;
+  config.degrade_epsilon = 0.5;
+  config.epsilon_budget = 2.0;
+  const std::vector<GridAxis> grid = {{"height", 140, 209, 5},
+                                      {"weight", 40, 169, 10}};
+  auto replica = PrivateAggregateServer::Build(PaperDataset2(), grid);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  auto client = PrivateAggregateClient::Create(192, 3);
+  ASSERT_TRUE(client.ok());
+  Rng server_rng(21);
+  const StatQuery query = Parse("SELECT COUNT(*) FROM t WHERE height < 175");
+  const Predicate predicate =
+      Predicate::Compare("height", CompareOp::kLt, Value(175));
+
+  auto expect_pool = [](const Harness& harness, const char* when) {
+    EXPECT_EQ(harness.accountant->num_principals(), 1u) << when;
+    const MetricsSnapshot snapshot = harness.registry.Snapshot();
+    const obs::LabelSet pool = {{"dimension", "respondent"},
+                                {"principal", "degraded_path"}};
+    EXPECT_DOUBLE_EQ(
+        GaugeValue(snapshot, "tripriv_privacy_epsilon_spent", pool), 2.0)
+        << when;
+    EXPECT_DOUBLE_EQ(
+        GaugeValue(snapshot, "tripriv_privacy_epsilon_remaining", pool), 0.0)
+        << when;
+    EXPECT_DOUBLE_EQ(
+        GaugeValue(snapshot, "tripriv_privacy_epsilon_budget", pool), 2.0)
+        << when;
+  };
+
+  auto service = QueryService::Create(PaperDataset2(), config, &wal);
+  ASSERT_TRUE(service.ok());
+  Harness harness;
+  harness.Attach(&*service);
+  service->AttachAggregateBackends({&*replica}, &*client, &server_rng);
+  ASSERT_EQ(service->Submit(query).tier, AnswerTier::kDpDegraded);
+  ASSERT_EQ(service->Submit(query).tier, AnswerTier::kDpDegraded);
+  ASSERT_TRUE(service->PrivateDpCount(predicate, Deadline()).ok());
+  ASSERT_TRUE(service->PrivateDpCount(predicate, Deadline()).ok());
+  ASSERT_DOUBLE_EQ(service->epsilon_spent(), 2.0);
+  EXPECT_EQ(service->Submit(query).refusal.code(),
+            StatusCode::kPermissionDenied);
+  EXPECT_EQ(service->PrivateDpCount(predicate, Deadline()).status().code(),
+            StatusCode::kPermissionDenied);
+  expect_pool(harness, "live");
+
+  auto restarted = QueryService::Create(PaperDataset2(), config, &wal);
+  ASSERT_TRUE(restarted.ok());
+  ASSERT_DOUBLE_EQ(restarted->epsilon_spent(), 2.0);
+  Harness fresh;
+  fresh.Attach(&*restarted);
+  expect_pool(fresh, "restarted");
+}
+
+TEST(InstrumentsTest, ServiceBundleRegistersOnlyPublishedSeries) {
+  // Every series a fresh bundle exports has a push or publish in src/ that
+  // writes it; a series without a writer would export 0 forever. Budget
+  // principals are QueryService's to register, so the accountant stays
+  // empty until a service attaches.
+  MetricsRegistry registry;
+  PrivacyBudgetAccountant accountant(&registry);
+  auto bundle = ServiceMetrics::Create(&registry, nullptr, &accountant);
+  ASSERT_TRUE(bundle.ok());
+  EXPECT_EQ(accountant.num_principals(), 0u);
+  std::set<std::string> names;
+  for (const MetricSample& sample : registry.Snapshot().samples) {
+    names.insert(sample.name);
+  }
+  const std::set<std::string> published = {
+      // push
+      "tripriv_service_answers_total",
+      "tripriv_service_shed_total",
+      "tripriv_service_shed_by_class_total",
+      "tripriv_service_policy_refusals_total",
+      "tripriv_service_crashes_total",
+      "tripriv_wal_appends_total",
+      "tripriv_wal_append_failures_total",
+      "tripriv_wal_bytes_total",
+      "tripriv_wal_fsync_ticks",
+      "tripriv_stat_batch_size",
+      "tripriv_pir_batch_size",
+      "tripriv_pir_reads_total",
+      // publish
+      "tripriv_service_queue_depth",
+      "tripriv_breaker_state",
+      "tripriv_breaker_opens",
+      "tripriv_breaker_rejections",
+      "tripriv_breaker_half_open_probes",
+      "tripriv_pir_bytes_xored",
+      "tripriv_pir_failover_replays",
+      "tripriv_pir_corrupt_answers",
+      "tripriv_pir_queries_answered",
+      "tripriv_pir_upload_bits",
+      "tripriv_pir_expanded_cells",
+      "tripriv_pir_preprocess_bytes",
+      "tripriv_pir_sessions",
+  };
+  EXPECT_EQ(names, published);
 }
 
 }  // namespace

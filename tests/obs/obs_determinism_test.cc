@@ -67,8 +67,7 @@ Exports RunWorkload(size_t threads) {
   obs::MetricsRegistry registry(metrics_config);
   obs::TraceRecorder trace(service->sim_clock());
   obs::PrivacyBudgetAccountant accountant(&registry);
-  auto metrics =
-      obs::ServiceMetrics::Create(&registry, &trace, &accountant, {});
+  auto metrics = obs::ServiceMetrics::Create(&registry, &trace, &accountant);
   TRIPRIV_CHECK(metrics.ok());
   service->AttachInstruments(&*metrics);
 
@@ -99,11 +98,7 @@ Exports RunWorkload(size_t threads) {
 
 TEST(ObsDeterminismTest, ExportsAreByteIdenticalAtAnyThreadCount) {
   const Exports ref = RunWorkload(0);
-#ifndef TRIPRIV_OBS_DISABLED
-  // The workload actually exercised the instruments. (In a
-  // -DTRIPRIV_OBS=OFF build the bundle is inert and registers nothing;
-  // the byte-identity contract below must still hold on the empty
-  // exports.)
+  // The workload actually exercised the instruments.
   EXPECT_NE(ref.prometheus.find("tripriv_service_answers_total"),
             std::string::npos);
   EXPECT_NE(ref.prometheus.find("tripriv_wal_fsync_ticks_bucket"),
@@ -112,7 +107,6 @@ TEST(ObsDeterminismTest, ExportsAreByteIdenticalAtAnyThreadCount) {
             std::string::npos);
   EXPECT_NE(ref.trace.find("\"name\":\"submit\""), std::string::npos);
   EXPECT_NE(ref.trace.find("\"name\":\"pir_batch\""), std::string::npos);
-#endif
 
   for (size_t threads : kThreadCounts) {
     const Exports got = RunWorkload(threads);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "querydb/profiling.h"
+#include "attack/profiling.h"
 #include "querydb/protection.h"
 #include "sdc/information_loss.h"
 #include "sdc/microaggregation.h"
@@ -10,6 +10,10 @@
 
 namespace tripriv {
 namespace {
+
+using attack::ProfileQueryLog;
+using attack::QueryLogVisibility;
+using attack::UserProfile;
 
 std::vector<StatQuery> MakeLog(const std::vector<std::string>& sqls) {
   std::vector<StatQuery> log;

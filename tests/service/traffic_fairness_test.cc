@@ -46,7 +46,6 @@ SimulatorConfig BaseConfig(const TrafficProfile& profile) {
   return config;
 }
 
-#ifndef TRIPRIV_OBS_DISABLED
 // p99 (bucket upper bound) of the per-class latency histogram, or 0 when
 // the class saw no served traffic.
 uint64_t ClassP99(const obs::MetricsSnapshot& snapshot,
@@ -61,7 +60,6 @@ uint64_t ClassP99(const obs::MetricsSnapshot& snapshot,
   }
   return 0;
 }
-#endif
 
 TEST(TrafficFairnessTest, FloodIsAbsorbedByTypedRefusalsOnTheAbuser) {
   obs::MetricsRegistry registry;
@@ -118,7 +116,6 @@ TEST(TrafficFairnessTest, WellBehavedP99SurvivesTheFlood) {
     EXPECT_GT(flood->by_class[cls].served, 0u) << "class " << int(cls);
   }
 
-#ifndef TRIPRIV_OBS_DISABLED
   // The isolation bound: flooded p99 within a fixed additive budget of the
   // no-flood baseline for every well-behaved class. The budget is a few
   // DRR rounds of extra queueing — what weighted sharing legitimately
@@ -133,7 +130,6 @@ TEST(TrafficFairnessTest, WellBehavedP99SurvivesTheFlood) {
     ASSERT_NE(flood_p99, UINT64_MAX) << cls << " p99 escaped the buckets";
     EXPECT_LE(flood_p99, base_p99 + kP99BudgetTicks) << cls;
   }
-#endif
 }
 
 TEST(TrafficFairnessTest, SlowLorisExpiresInQueueWithoutBackendWork) {

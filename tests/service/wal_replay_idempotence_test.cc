@@ -70,12 +70,9 @@ TEST(WalReplayIdempotenceTest, RecoveryAppendsNothingToTheWal) {
   EXPECT_EQ(wal.size(), bytes_before);
 }
 
-#ifndef TRIPRIV_OBS_DISABLED
-
 using obs::MetricSample;
 using obs::MetricsSnapshot;
 using obs::ServiceMetrics;
-using obs::ServiceMetricsOptions;
 using obs::TraceRecorder;
 
 StatQuery Parse(const std::string& sql) {
@@ -120,10 +117,7 @@ TEST(WalReplayIdempotenceTest, EpsilonGaugesSurviveDoubleRecovery) {
   PrivacyBudgetAccountant accountant(&registry);
   SimClock dashboard_clock;
   TraceRecorder trace(&dashboard_clock);
-  ServiceMetricsOptions options;
-  options.degraded_budget = 4.0;
-  auto metrics =
-      ServiceMetrics::Create(&registry, &trace, &accountant, options);
+  auto metrics = ServiceMetrics::Create(&registry, &trace, &accountant);
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   const obs::LabelSet spent_labels = {{"dimension", "respondent"},
                                       {"principal", "degraded_path"}};
@@ -174,8 +168,6 @@ TEST(WalReplayIdempotenceTest, EpochGaugesSurviveDoubleRecovery) {
         << "recovery " << recovery;
   }
 }
-
-#endif  // TRIPRIV_OBS_DISABLED
 
 }  // namespace
 }  // namespace tripriv
