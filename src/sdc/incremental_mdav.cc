@@ -92,15 +92,14 @@ Result<IncrementalMdavResult> IncrementalMdav(
   size_t num_groups = kept;
 
   if (pool_rows.size() >= k) {
-    // A lawful MDAV run over the pool alone; sub-group g becomes global
+    // A lawful MDAV run over the pool alone; pool group g becomes global
     // group kept + g.
-    TRIPRIV_ASSIGN_OR_RETURN(
-        MicroaggregationResult sub,
-        MdavMicroaggregate(base.SelectRows(pool_rows), k, cols, workers));
-    for (size_t i = 0; i < pool_rows.size(); ++i) {
-      result.group_of_row[pool_rows[i]] = kept + sub.group_of_row[i];
+    TRIPRIV_ASSIGN_OR_RETURN(MdavGrouping sub,
+                             MdavGroups(raw, pool_rows, k, workers));
+    for (size_t g = 0; g < sub.groups.size(); ++g) {
+      for (size_t r : sub.groups[g]) result.group_of_row[r] = kept + g;
     }
-    num_groups = kept + sub.num_groups;
+    num_groups = kept + sub.groups.size();
   } else if (!pool_rows.empty()) {
     if (kept == 0) {
       // The whole table is the pool and it is smaller than k: one

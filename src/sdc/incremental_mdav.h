@@ -11,7 +11,8 @@
 //   * the recluster pool is every member of a dirty group plus every
 //     inserted row; clean groups keep their membership untouched, so their
 //     rows' masked values are provably identical to the previous epoch's;
-//   * the pool is re-grouped by a fresh MDAV run when it holds at least k
+//   * the pool is re-grouped by a fresh MDAV run (`MdavGroups` over the
+//     pooled rows, standardized over the pool) when it holds at least k
 //     records. A residual pool smaller than k cannot form a lawful group,
 //     so its rows are absorbed into the nearest clean group by centroid
 //     distance (deterministic: lowest group id wins ties) — the group only
@@ -25,8 +26,8 @@
 // still re-verifies min group size and k-anonymity on the candidate table
 // independently (defense in depth — see service/epoch_service.h).
 //
-// Determinism: the pool is ordered by row index, MdavMicroaggregate's
-// parallel distance scans are bit-identical at any thread count (see
+// Determinism: the pool is ordered by row index, MdavGroups' parallel
+// distance scans are bit-identical at any thread count (see
 // microaggregation.h), and nearest-group absorption breaks ties on the
 // lowest group id — the grouping is a pure function of the inputs.
 

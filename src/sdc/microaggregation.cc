@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "stats/descriptive.h"
 #include "util/thread_pool.h"
@@ -15,35 +18,67 @@ namespace {
 /// handoff costs more than the scan.
 constexpr size_t kMinParallelPoolSize = 4096;
 
+/// Marks a pool slot whose point has joined a group.
+constexpr size_t kTaken = SIZE_MAX;
+
 /// True when `workers` should shard a scan over `n` pool elements.
 bool UsePool(const ThreadPool* workers, size_t n) {
   return workers != nullptr && workers->num_threads() > 1 &&
          n >= kMinParallelPoolSize;
 }
 
-/// Column-standardizes a row-major matrix in place (constant columns are
-/// left centered at 0).
-void Standardize(std::vector<std::vector<double>>* m) {
-  if (m->empty()) return;
-  const size_t d = (*m)[0].size();
+/// n points of dimension d, row-major in one contiguous buffer.
+class PointMatrix {
+ public:
+  PointMatrix(size_t n, size_t dims) : dims_(dims), values_(n * dims) {}
+
+  size_t dims() const { return dims_; }
+  const double* point(size_t i) const { return values_.data() + i * dims_; }
+  double* point(size_t i) { return values_.data() + i * dims_; }
+
+ private:
+  size_t dims_;
+  std::vector<double> values_;
+};
+
+/// Squared Euclidean distance between two d-dimensional points, summed in
+/// coordinate order.
+double SquaredDistanceOf(const double* a, const double* b, size_t d) {
+  double s = 0;
   for (size_t j = 0; j < d; ++j) {
-    std::vector<double> col(m->size());
-    for (size_t i = 0; i < m->size(); ++i) col[i] = (*m)[i][j];
-    const double mean = Mean(col);
-    const double sd = col.size() >= 2 ? SampleStddev(col) : 0.0;
-    for (size_t i = 0; i < m->size(); ++i) {
-      (*m)[i][j] = sd > 0.0 ? ((*m)[i][j] - mean) / sd : 0.0;
-    }
+    const double diff = a[j] - b[j];
+    s += diff * diff;
   }
+  return s;
 }
 
-/// Centroid of the rows at `idx`.
-std::vector<double> CentroidOf(const std::vector<std::vector<double>>& m,
+/// Copies `points[pool[i]]` to row i and column-standardizes over the pool
+/// (constant columns are left centered at 0).
+PointMatrix StandardizedPool(const std::vector<std::vector<double>>& points,
+                             const std::vector<size_t>& pool) {
+  const size_t n = pool.size();
+  const size_t d = points[pool[0]].size();
+  PointMatrix m(n, d);
+  std::vector<double> col(n);
+  for (size_t j = 0; j < d; ++j) {
+    for (size_t i = 0; i < n; ++i) col[i] = points[pool[i]][j];
+    const double mean = Mean(col);
+    const double sd = n >= 2 ? SampleStddev(col) : 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      m.point(i)[j] = sd > 0.0 ? (col[i] - mean) / sd : 0.0;
+    }
+  }
+  return m;
+}
+
+/// Centroid of the points at `idx`, summed in `idx` order.
+std::vector<double> CentroidOf(const PointMatrix& m,
                                const std::vector<size_t>& idx) {
   TRIPRIV_CHECK(!idx.empty());
-  std::vector<double> c(m[0].size(), 0.0);
+  std::vector<double> c(m.dims(), 0.0);
   for (size_t i : idx) {
-    for (size_t j = 0; j < c.size(); ++j) c[j] += m[i][j];
+    const double* p = m.point(i);
+    for (size_t j = 0; j < c.size(); ++j) c[j] += p[j];
   }
   for (double& v : c) v /= static_cast<double>(idx.size());
   return c;
@@ -54,14 +89,12 @@ std::vector<double> CentroidOf(const std::vector<std::vector<double>>& m,
 /// tie-break the parallel path reproduces by merging per-shard winners in
 /// shard order (shards are contiguous and ascending, so the earliest shard
 /// holding the maximum wins, i.e. the lowest index).
-size_t FarthestFrom(const std::vector<std::vector<double>>& m,
-                    const std::vector<size_t>& pool,
-                    const std::vector<double>& point,
-                    ThreadPool* workers = nullptr) {
-  auto scan = [&m, &pool, &point](size_t begin, size_t end, size_t* best,
-                                  double* best_d) {
+size_t FarthestFrom(const PointMatrix& m, const std::vector<size_t>& pool,
+                    const double* point, ThreadPool* workers) {
+  auto scan = [&m, &pool, point](size_t begin, size_t end, size_t* best,
+                                 double* best_d) {
     for (size_t i = begin; i < end; ++i) {
-      const double d = SquaredDistance(m[pool[i]], point);
+      const double d = SquaredDistanceOf(m.point(pool[i]), point, m.dims());
       if (d > *best_d) {
         *best_d = d;
         *best = i;
@@ -94,47 +127,103 @@ size_t FarthestFrom(const std::vector<std::vector<double>>& m,
   return best;
 }
 
-/// Removes from `pool` the record at pool-index `seed_pos` and its k-1
-/// nearest pool neighbours; returns their row ids.
-std::vector<size_t> TakeGroupAround(const std::vector<std::vector<double>>& m,
-                                    std::vector<size_t>* pool, size_t seed_pos,
-                                    size_t k, ThreadPool* workers = nullptr) {
-  const size_t seed_row = (*pool)[seed_pos];
-  // Order pool by distance to the seed record. The distance fill writes
-  // positional slots (parallel-safe); the sort stays serial and ties break
-  // on the pool index, so the ordering is thread-count independent.
-  std::vector<std::pair<double, size_t>> by_dist(pool->size());
-  auto fill = [&m, &pool, seed_row, &by_dist](size_t begin, size_t end) {
+/// Removes from `pool` the point at pool-index `seed_pos` and its k-1
+/// nearest pool neighbours; returns them nearest-first. `by_dist` is
+/// scratch reused across calls.
+std::vector<size_t> TakeGroupAround(
+    const PointMatrix& m, std::vector<size_t>* pool, size_t seed_pos,
+    size_t k, ThreadPool* workers,
+    std::vector<std::pair<double, size_t>>* by_dist) {
+  const size_t n = pool->size();
+  const double* seed = m.point((*pool)[seed_pos]);
+  // Key every pool element by (squared distance to the seed, pool index).
+  // The fill writes positional slots (parallel-safe); the selection stays
+  // serial and ties break on the pool index, so the group is thread-count
+  // independent.
+  by_dist->resize(n);
+  auto fill = [&m, pool, seed, by_dist](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      by_dist[i] = {SquaredDistance(m[(*pool)[i]], m[seed_row]), i};
+      (*by_dist)[i] = {SquaredDistanceOf(m.point((*pool)[i]), seed, m.dims()),
+                       i};
     }
   };
-  if (!UsePool(workers, pool->size())) {
-    fill(0, pool->size());
+  if (!UsePool(workers, n)) {
+    fill(0, n);
   } else {
-    workers->ParallelFor(pool->size(),
-                         [&fill](size_t, size_t begin, size_t end) {
-                           fill(begin, end);
-                         });
+    workers->ParallelFor(n, [&fill](size_t, size_t begin, size_t end) {
+      fill(begin, end);
+    });
   }
-  std::sort(by_dist.begin(), by_dist.end());
-  const size_t take = std::min(k, pool->size());
-  std::vector<size_t> group;
-  std::vector<bool> taken(pool->size(), false);
+  // The k smallest keys in key order: the same members, in the same order,
+  // as the head of a full sort, without ordering the rest of the pool.
+  const size_t take = std::min(k, n);
+  std::partial_sort(by_dist->begin(), by_dist->begin() + take, by_dist->end());
+  std::vector<size_t> group(take);
   for (size_t i = 0; i < take; ++i) {
-    group.push_back((*pool)[by_dist[i].second]);
-    taken[by_dist[i].second] = true;
+    size_t& slot = (*pool)[(*by_dist)[i].second];
+    group[i] = slot;
+    slot = kTaken;
   }
-  std::vector<size_t> rest;
-  rest.reserve(pool->size() - take);
-  for (size_t i = 0; i < pool->size(); ++i) {
-    if (!taken[i]) rest.push_back((*pool)[i]);
-  }
-  *pool = std::move(rest);
+  // Stable in-place compaction: the rest keep their relative order.
+  pool->erase(std::remove(pool->begin(), pool->end(), kTaken), pool->end());
   return group;
 }
 
 }  // namespace
+
+Result<MdavGrouping> MdavGroups(const std::vector<std::vector<double>>& points,
+                                const std::vector<size_t>& pool, size_t k,
+                                ThreadPool* workers) {
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (pool.empty()) {
+    return Status::InvalidArgument("cannot group an empty pool");
+  }
+  for (size_t i : pool) {
+    if (i >= points.size() || points[i].size() != points[pool[0]].size()) {
+      return Status::InvalidArgument(
+          "pool names a missing point or points differ in dimension");
+    }
+  }
+  const PointMatrix m = StandardizedPool(points, pool);
+
+  // `remaining` holds rows of `m`; it stays in ascending order, so a pool
+  // index tie-break is also a row tie-break.
+  std::vector<size_t> remaining(pool.size());
+  std::iota(remaining.begin(), remaining.end(), 0);
+  std::vector<std::vector<size_t>> groups;
+  std::vector<std::pair<double, size_t>> by_dist;
+
+  // MDAV-generic main loop: two groups per round while at least 3k points
+  // remain, one more once fewer do, until under 2k points are left.
+  while (remaining.size() >= 2 * k) {
+    const bool two_groups = remaining.size() >= 3 * k;
+    const auto centroid = CentroidOf(m, remaining);
+    const size_t far1 = FarthestFrom(m, remaining, centroid.data(), workers);
+    const size_t far1_row = remaining[far1];
+    groups.push_back(
+        TakeGroupAround(m, &remaining, far1, k, workers, &by_dist));
+    if (two_groups) {
+      // Point farthest from the first extreme.
+      const size_t far2 =
+          FarthestFrom(m, remaining, m.point(far1_row), workers);
+      groups.push_back(
+          TakeGroupAround(m, &remaining, far2, k, workers, &by_dist));
+    }
+  }
+  groups.push_back(std::move(remaining));  // the last 1..2k-1 points
+
+  MdavGrouping grouping;
+  for (std::vector<size_t>& members : groups) {
+    const auto centroid = CentroidOf(m, members);
+    for (size_t& i : members) {
+      grouping.within_group_sse +=
+          SquaredDistanceOf(m.point(i), centroid.data(), m.dims());
+      i = pool[i];
+    }
+  }
+  grouping.groups = std::move(groups);
+  return grouping;
+}
 
 Result<MicroaggregationResult> MdavMicroaggregate(
     const DataTable& table, size_t k, const std::vector<size_t>& cols,
@@ -147,55 +236,31 @@ Result<MicroaggregationResult> MdavMicroaggregate(
     return Status::InvalidArgument("no columns to microaggregate");
   }
   TRIPRIV_ASSIGN_OR_RETURN(auto raw, table.NumericMatrix(cols));
-  auto std_data = raw;
-  Standardize(&std_data);
-
   const size_t n = table.num_rows();
-  std::vector<size_t> pool(n);
-  std::iota(pool.begin(), pool.end(), 0);
-  std::vector<std::vector<size_t>> groups;
-
-  // MDAV-generic main loop.
-  while (pool.size() >= 3 * k) {
-    const auto centroid = CentroidOf(std_data, pool);
-    const size_t far1 = FarthestFrom(std_data, pool, centroid, workers);
-    const size_t far1_row = pool[far1];
-    groups.push_back(TakeGroupAround(std_data, &pool, far1, k, workers));
-    // Record farthest from the first extreme.
-    const size_t far2 =
-        FarthestFrom(std_data, pool, std_data[far1_row], workers);
-    groups.push_back(TakeGroupAround(std_data, &pool, far2, k, workers));
-  }
-  if (pool.size() >= 2 * k) {
-    const auto centroid = CentroidOf(std_data, pool);
-    const size_t far1 = FarthestFrom(std_data, pool, centroid, workers);
-    groups.push_back(TakeGroupAround(std_data, &pool, far1, k, workers));
-  }
-  if (!pool.empty()) {
-    groups.push_back(pool);  // remaining < 2k records form the last group
-    pool.clear();
-  }
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  TRIPRIV_ASSIGN_OR_RETURN(MdavGrouping grouping,
+                           MdavGroups(raw, rows, k, workers));
 
   MicroaggregationResult result;
   result.table = table;
   result.group_of_row.assign(n, 0);
-  result.num_groups = groups.size();
-  // Replace values by group centroids (original scale) and accumulate the
-  // standardized within-group SSE.
-  std::vector<std::vector<double>> masked = raw;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const auto centroid_raw = CentroidOf(raw, groups[g]);
-    const auto centroid_std = CentroidOf(std_data, groups[g]);
-    for (size_t row : groups[g]) {
-      result.group_of_row[row] = g;
-      masked[row] = centroid_raw;
-      result.within_group_sse += SquaredDistance(std_data[row], centroid_std);
-    }
+  result.num_groups = grouping.groups.size();
+  result.within_group_sse = grouping.within_group_sse;
+  for (size_t g = 0; g < grouping.groups.size(); ++g) {
+    for (size_t row : grouping.groups[g]) result.group_of_row[row] = g;
   }
+  // Replace values by group centroids in the original scale, each summed in
+  // member order.
+  std::vector<double> masked(n);
   for (size_t j = 0; j < cols.size(); ++j) {
-    std::vector<double> col(n);
-    for (size_t r = 0; r < n; ++r) col[r] = masked[r][j];
-    TRIPRIV_RETURN_IF_ERROR(result.table.SetNumericColumn(cols[j], col));
+    for (const std::vector<size_t>& members : grouping.groups) {
+      double sum = 0.0;
+      for (size_t row : members) sum += raw[row][j];
+      const double centroid = sum / static_cast<double>(members.size());
+      for (size_t row : members) masked[row] = centroid;
+    }
+    TRIPRIV_RETURN_IF_ERROR(result.table.SetNumericColumn(cols[j], masked));
   }
   return result;
 }

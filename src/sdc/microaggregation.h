@@ -33,18 +33,42 @@ struct MicroaggregationResult {
   double within_group_sse = 0.0;
 };
 
-/// MDAV-generic over the numeric columns `cols` (attribute values are
-/// standardized for distance computation; centroids are written back in the
-/// original scale). Requires k >= 1, all `cols` numeric, and at least one
-/// row. Guarantees every group has size in [k, 2k-1] when n >= k; if
-/// n < k the single group holds all rows.
+/// The groups one MDAV run forms over a pool of points.
+struct MdavGrouping {
+  /// groups[g] lists the point indices of group g in the order MDAV took
+  /// them: nearest-first around the group's seed, the remainder group in
+  /// pool order.
+  std::vector<std::vector<size_t>> groups;
+  /// Within-group sum of squared errors on the pool-standardized points.
+  double within_group_sse = 0.0;
+};
+
+/// The MDAV-generic grouping step over `points[pool[i]]`. The pooled
+/// points are column-standardized over the pool (constant columns map to
+/// 0) before any distance is taken, so the grouping depends only on the
+/// pool, never on points outside it. Requires k >= 1 and a non-empty pool
+/// of distinct indices into `points`, all of one dimension (a typed
+/// kInvalidArgument otherwise). Every group has size in [k, 2k-1] when the
+/// pool holds at least k points; a smaller pool forms one group. Forming
+/// one group takes a constant number of passes over the pool plus a
+/// partial selection of k keys: linear in the pool for fixed k.
 ///
 /// `workers` (optional) shards the per-iteration distance scans — the
-/// farthest-record argmax and the k-nearest ordering — across the pool.
-/// Both are reductions over per-element distances with fixed-order merges
-/// (per-shard argmax merged in shard order, the same strict-> tie-break as
-/// the serial loop; distances written to positional slots then sorted
-/// serially), so the grouping is bit-identical at any thread count.
+/// farthest-point argmax and the distance fill around each seed — across
+/// the pool. The argmax merges per-shard winners in shard order with the
+/// serial loop's strict-> tie-break (lowest pool position wins); the fill
+/// writes positional slots, and a serial partial selection then takes the
+/// k smallest (squared distance, pool position) keys in key order. So the
+/// grouping is bit-identical at any thread count.
+Result<MdavGrouping> MdavGroups(const std::vector<std::vector<double>>& points,
+                                const std::vector<size_t>& pool, size_t k,
+                                ThreadPool* workers = nullptr);
+
+/// MDAV-generic over the numeric columns `cols`: `MdavGroups` over every
+/// row, then each row's `cols` values replaced by its group centroid in
+/// the original scale. Requires k >= 1, all `cols` numeric, and at least
+/// one row. `workers` shards the distance scans as in `MdavGroups`; the
+/// result is bit-identical at any thread count.
 Result<MicroaggregationResult> MdavMicroaggregate(
     const DataTable& table, size_t k, const std::vector<size_t>& cols,
     ThreadPool* workers = nullptr);

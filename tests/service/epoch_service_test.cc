@@ -12,6 +12,7 @@
 
 #include "sdc/anonymity.h"
 #include "table/datasets.h"
+#include "util/checksum.h"
 
 namespace tripriv {
 namespace {
@@ -52,6 +53,29 @@ TEST(EpochServiceTest, BootstrapProtectsAndJournalsEpochOne) {
   ASSERT_NE(store.Get(1), nullptr);
   EXPECT_EQ(TableChecksum(store.Get(1)->protected_table),
             recovered->records[1].query_fingerprint);
+}
+
+TEST(EpochServiceTest, CensusBootstrapIsPinned) {
+  // A full MDAV bootstrap at benchmark scale: 20,000 census rows, k = 5
+  // over (age, education). The constants were captured from the full-sort
+  // MDAV this bootstrap used to run; any change to the grouping shows up in
+  // the group count, the protected checksum or the journaled commit.
+  const DataTable census = MakeCensus(20000, 11);
+  EpochConfig config;
+  config.k = 5;
+  config.qi_cols = {*census.schema().IndexOf("age"),
+                    *census.schema().IndexOf("education")};
+  MemWalIo wal;
+  EpochStore store;
+  auto db = EpochedDatabase::Create(census, std::move(config), &wal, &store);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  PinnedEpoch pinned = db->Pin();
+  EXPECT_EQ(pinned->num_groups, 4000u);
+  EXPECT_EQ(pinned->protected_checksum, 0xe9fd4009f8b2c7d7ull);
+  auto bytes = wal.ReadAll();
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes->size(), 116u);
+  EXPECT_EQ(Fnv1a64(bytes->data(), bytes->size()), 0x9edb44d11756cea3ull);
 }
 
 TEST(EpochServiceTest, UnprotectableInitialBaseRefusesToStart) {
