@@ -157,22 +157,27 @@ Result<PrivateAggregateClient> PrivateAggregateClient::Create(
 
 Result<std::vector<BigInt>> PrivateAggregateClient::MakeSelector(
     const PrivateAggregateServer& server, const Predicate& predicate) {
-  // Evaluate the private predicate on each cell representative. The
-  // evaluation happens client-side on a single-row scratch table per cell.
+  // Evaluate the private predicate client-side, in one scan over a grid
+  // table holding every cell's representative, then encrypt each cell's
+  // selector bit in cell order.
   std::vector<Attribute> attrs;
   for (const auto& axis : server.axes()) {
     attrs.push_back(
         {axis.attribute, AttributeType::kInteger, AttributeRole::kNonConfidential});
   }
-  const Schema grid_schema{Schema(attrs)};
-  std::vector<BigInt> selector;
-  selector.reserve(server.num_cells());
+  DataTable grid{Schema(std::move(attrs))};
   for (size_t cell = 0; cell < server.num_cells(); ++cell) {
-    DataTable scratch(grid_schema);
     std::vector<Value> row;
     for (int64_t v : server.CellRepresentative(cell)) row.push_back(Value(v));
-    TRIPRIV_RETURN_IF_ERROR(scratch.AppendRow(std::move(row)));
-    TRIPRIV_ASSIGN_OR_RETURN(bool selected, predicate.Matches(scratch, 0));
+    TRIPRIV_RETURN_IF_ERROR(grid.AppendRow(std::move(row)));
+  }
+  TRIPRIV_ASSIGN_OR_RETURN(auto selected_cells, predicate.MatchingRows(grid));
+  std::vector<BigInt> selector;
+  selector.reserve(server.num_cells());
+  auto next = selected_cells.begin();
+  for (size_t cell = 0; cell < server.num_cells(); ++cell) {
+    const bool selected = next != selected_cells.end() && *next == cell;
+    if (selected) ++next;
     TRIPRIV_ASSIGN_OR_RETURN(
         BigInt c,
         PaillierEncrypt(keys_.pub, selected ? BigInt(1) : BigInt(), &rng_));

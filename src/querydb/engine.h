@@ -25,10 +25,13 @@ Result<QueryAnswer> ExecuteQuery(const DataTable& table, const StatQuery& query)
 /// evaluator may touch before failing typed.
 inline constexpr size_t kEvalRowsPerTick = 256;
 
-/// Deadline-aware evaluation: charges the scan cost (one tick per started
-/// kEvalRowsPerTick rows) to `clock`, then fails with kDeadlineExceeded —
-/// without producing an answer — when `deadline` has passed. This is how a
-/// QueryService request deadline propagates into query evaluation.
+/// Deadline-aware evaluation: charges the scan cost, `rows /
+/// kEvalRowsPerTick + 1` ticks, to `clock` (one tick per started
+/// kEvalRowsPerTick rows, plus one more when `rows` is an exact multiple,
+/// so an empty table still costs a tick), then fails with
+/// kDeadlineExceeded — without producing an answer — when `deadline` has
+/// passed. This is how a QueryService request deadline propagates into
+/// query evaluation.
 Result<QueryAnswer> ExecuteQuery(const DataTable& table, const StatQuery& query,
                                  SimClock* clock, const Deadline& deadline);
 

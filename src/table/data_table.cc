@@ -107,7 +107,12 @@ Status DataTable::SetNumericColumn(size_t col, const std::vector<double>& values
   if (values.size() != rows_.size()) {
     return Status::InvalidArgument("SetNumericColumn: size mismatch");
   }
-  const bool integral = schema_.attribute(col).type == AttributeType::kInteger;
+  const Attribute& attr = schema_.attribute(col);
+  if (attr.type == AttributeType::kCategorical) {
+    return Status::InvalidArgument("attribute '" + attr.name +
+                                   "' expects categorical");
+  }
+  const bool integral = attr.type == AttributeType::kInteger;
   for (size_t r = 0; r < rows_.size(); ++r) {
     if (integral) {
       rows_[r][col] = Value(static_cast<int64_t>(std::llround(values[r])));

@@ -68,6 +68,7 @@ class DataTable {
   /// value is validated).
   Status SetColumn(size_t col, const std::vector<Value>& values);
   /// Overwrites a numeric column from doubles; integer columns are rounded.
+  /// Fails on a categorical column.
   Status SetNumericColumn(size_t col, const std::vector<double>& values);
 
   /// New table with only the columns at `indices`.

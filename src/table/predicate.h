@@ -32,14 +32,23 @@ class Predicate {
   static Predicate Or(Predicate lhs, Predicate rhs);
   static Predicate Not(Predicate inner);
 
-  /// Evaluates against row `row` of `table`. Fails if a referenced
-  /// attribute does not exist or a comparison is ill-typed (e.g. `<` between
-  /// a number and a string). Null cells compare false under every operator
-  /// except kNe, mirroring SQL's null semantics closely enough for the
-  /// statistical-query workloads here.
-  Result<bool> Matches(const DataTable& table, size_t row) const;
-
-  /// Indices of all rows of `table` satisfying the predicate.
+  /// Indices of all rows of `table` satisfying the predicate, ascending.
+  ///
+  /// Null cells compare false under every operator except kNe, mirroring
+  /// SQL's null semantics closely enough for the statistical-query
+  /// workloads here. An integer column compares exactly with an integer
+  /// literal; every other numeric pair compares as double.
+  ///
+  /// AND and OR short-circuit left to right, and a row fails only at a
+  /// leaf it reaches: with NotFound when the attribute does not exist, or
+  /// with InvalidArgument when a non-null cell and the literal are
+  /// ill-typed (e.g. `<` between a number and a string). The error
+  /// returned is the one the first failing row hits at its leftmost
+  /// failing leaf.
+  ///
+  /// The tree is bound to the table's schema once per call (each leaf
+  /// resolved to a column and a comparison kind) and evaluated 64 rows at a
+  /// time into match masks combined by AND / OR / NOT.
   Result<std::vector<size_t>> MatchingRows(const DataTable& table) const;
 
   /// Attribute names referenced by the predicate (with duplicates), in
@@ -63,6 +72,9 @@ class Predicate {
   std::shared_ptr<const Predicate> rhs_;
 
   void CollectAttributes(std::vector<std::string>* out) const;
+
+  /// The tree bound to one table's schema (predicate.cc).
+  class Bound;
 };
 
 }  // namespace tripriv

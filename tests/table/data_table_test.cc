@@ -88,6 +88,9 @@ TEST(DataTableTest, SetColumnAndSetNumericColumn) {
   EXPECT_EQ(t.at(0, 0), Value(30));
   EXPECT_EQ(t.at(1, 0), Value(41));
   EXPECT_FALSE(t.SetNumericColumn(0, {1.0}).ok());  // size mismatch
+  // Categorical cells stay strings.
+  EXPECT_FALSE(t.SetNumericColumn(2, {1.0, 2.0, 3.0}).ok());
+  EXPECT_EQ(t.at(0, 2), Value("x"));
   ASSERT_TRUE(t.SetColumn(2, {Value("a"), Value("b"), Value("c")}).ok());
   EXPECT_EQ(t.at(2, 2), Value("c"));
 }
