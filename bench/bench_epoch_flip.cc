@@ -1,6 +1,6 @@
 // Epoch flip costs: what a live mutable protected database pays per write.
 //
-// Four questions, one file. (1) Flip throughput by mutation batch size —
+// Five questions, one file. (1) Flip throughput by mutation batch size —
 // the WAL + copy-on-write + incremental-MDAV + gate pipeline, end to end.
 // (2) What incremental maintenance buys over a full recluster: the same
 // maintenance call at dirty-set sizes from one row to the whole table
@@ -8,6 +8,9 @@
 // versioning: pinned two-server PIR batch reads through the epoch cache at
 // several thread counts. (4) What standing the database up costs: the
 // epoch-1 bootstrap, a full MDAV run over a census-scale base table.
+// (5) What each full-table stage of one flip costs at that scale, on its
+// own: apply, incremental MDAV, the k-gate, the checksum and the replica
+// render.
 //
 // Flips draw no randomness and the WAL device is in-memory, so the numbers
 // isolate the protection pipeline itself, not disk or entropy.
@@ -15,13 +18,18 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <numeric>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "pir/epoch_pir.h"
+#include "sdc/anonymity.h"
 #include "sdc/incremental_mdav.h"
 #include "service/epoch_service.h"
 #include "table/datasets.h"
+#include "table/mutation.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace tripriv {
@@ -128,6 +136,139 @@ void BM_EpochBootstrap(benchmark::State& state) {
   state.counters["groups"] = static_cast<double>(groups);
 }
 BENCHMARK(BM_EpochBootstrap)->Unit(benchmark::kMillisecond);
+
+/// One flip's inputs at census scale, built once: a 20,000-row epoch
+/// bootstrapped by a full MDAV run (k = 5 on age and education), a batch of
+/// 8 updates, 4 inserts and 4 deletes of distinct live uids with census
+/// payloads, that batch applied, and the maintained candidate.
+struct FlipStageInputs {
+  std::vector<size_t> cols;
+  DataTable base;
+  std::vector<uint64_t> uids;
+  uint64_t next_uid = 0;
+  std::unordered_map<uint64_t, size_t> prev_group_of_uid;
+  std::vector<RowMutation> batch;
+  DataTable next_base;
+  std::vector<uint64_t> next_uids;
+  MutationApplyResult applied;
+  IncrementalMdavResult candidate;
+};
+
+constexpr size_t kFlipK = 5;
+
+const FlipStageInputs& FlipInputs() {
+  static const FlipStageInputs inputs = [] {
+    FlipStageInputs in;
+    in.base = MakeCensus(20000, 11);
+    in.cols = {*in.base.schema().IndexOf("age"),
+               *in.base.schema().IndexOf("education")};
+    in.uids.resize(in.base.num_rows());
+    std::iota(in.uids.begin(), in.uids.end(), uint64_t{0});
+    in.next_uid = in.uids.size();
+    auto bootstrap = IncrementalMdav(in.base, in.uids, in.cols, kFlipK, {}, {});
+    TRIPRIV_CHECK(bootstrap.ok()) << bootstrap.status().ToString();
+    for (size_t r = 0; r < in.uids.size(); ++r) {
+      in.prev_group_of_uid.emplace(in.uids[r], bootstrap->group_of_row[r]);
+    }
+
+    const DataTable payloads = MakeCensus(1024, 12);
+    Rng rng(701);
+    std::unordered_set<uint64_t> used;
+    auto live_uid = [&] {
+      for (;;) {
+        const uint64_t uid = in.uids[rng.UniformU64(in.uids.size())];
+        if (used.insert(uid).second) return uid;
+      }
+    };
+    auto payload = [&] { return payloads.row(rng.UniformU64(payloads.num_rows())); };
+    for (int i = 0; i < 8; ++i) {
+      in.batch.push_back(RowMutation::Update(live_uid(), payload()));
+    }
+    for (int i = 0; i < 4; ++i) in.batch.push_back(RowMutation::Insert(payload()));
+    for (int i = 0; i < 4; ++i) in.batch.push_back(RowMutation::Delete(live_uid()));
+
+    in.next_base = in.base;
+    in.next_uids = in.uids;
+    uint64_t next_uid = in.next_uid;
+    auto applied = ApplyMutations(in.batch, &in.next_base, &in.next_uids, &next_uid);
+    TRIPRIV_CHECK(applied.ok()) << applied.status().ToString();
+    in.applied = std::move(applied).value();
+    auto candidate = IncrementalMdav(in.next_base, in.next_uids, in.cols, kFlipK,
+                                     in.prev_group_of_uid, in.applied.dirty_uids);
+    TRIPRIV_CHECK(candidate.ok()) << candidate.status().ToString();
+    in.candidate = std::move(candidate).value();
+    return in;
+  }();
+  return inputs;
+}
+
+enum class FlipStage { kApply, kIncrementalMdav, kKanon, kChecksum, kSnapshot };
+
+/// One full-table stage of a flip, timed alone on FlipInputs(). Apply edits
+/// a fresh copy of the epoch each iteration; the copy is not timed.
+void BM_FlipStage(benchmark::State& state, FlipStage stage) {
+  const FlipStageInputs& in = FlipInputs();
+  const DataTable& candidate = in.candidate.protected_table;
+  switch (stage) {
+    case FlipStage::kApply: {
+      DataTable base;
+      std::vector<uint64_t> uids;
+      for (auto _ : state) {
+        state.PauseTiming();
+        base = in.base;
+        uids = in.uids;
+        uint64_t next_uid = in.next_uid;
+        state.ResumeTiming();
+        auto applied = ApplyMutations(in.batch, &base, &uids, &next_uid);
+        TRIPRIV_CHECK(applied.ok());
+        benchmark::DoNotOptimize(applied);
+      }
+      break;
+    }
+    case FlipStage::kIncrementalMdav:
+      for (auto _ : state) {
+        auto maintained =
+            IncrementalMdav(in.next_base, in.next_uids, in.cols, kFlipK,
+                            in.prev_group_of_uid, in.applied.dirty_uids);
+        TRIPRIV_CHECK(maintained.ok());
+        benchmark::DoNotOptimize(maintained);
+      }
+      state.counters["reclustered"] =
+          static_cast<double>(in.candidate.rows_reclustered);
+      break;
+    case FlipStage::kKanon:
+      for (auto _ : state) {
+        bool ok = IsKAnonymous(candidate, kFlipK, in.cols);
+        TRIPRIV_CHECK(ok);
+        benchmark::DoNotOptimize(ok);
+      }
+      break;
+    case FlipStage::kChecksum:
+      for (auto _ : state) {
+        uint64_t checksum = TableChecksum(candidate);
+        benchmark::DoNotOptimize(checksum);
+      }
+      break;
+    case FlipStage::kSnapshot:
+      for (auto _ : state) {
+        auto records = SnapshotRecords(candidate);
+        benchmark::DoNotOptimize(records.data());
+        benchmark::ClobberMemory();
+      }
+      break;
+  }
+  state.counters["rows"] = static_cast<double>(candidate.num_rows());
+}
+BENCHMARK_CAPTURE(BM_FlipStage, apply, FlipStage::kApply)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_FlipStage, incremental_mdav, FlipStage::kIncrementalMdav)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_FlipStage, kanon, FlipStage::kKanon)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_FlipStage, checksum, FlipStage::kChecksum)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_FlipStage, snapshot, FlipStage::kSnapshot)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Pinned PIR batch reads through the epoch replica cache — the steady-
 /// state read path a reader pays while writers build the next version.

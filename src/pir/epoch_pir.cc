@@ -1,24 +1,39 @@
 #include "pir/epoch_pir.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <utility>
 
 namespace tripriv {
 
 std::vector<std::vector<uint8_t>> SnapshotRecords(const DataTable& table) {
-  std::vector<std::vector<uint8_t>> records;
-  records.reserve(table.num_rows());
+  // Every row rendered back to back into one buffer; row r ends at ends[r].
+  const size_t n = table.num_rows();
+  std::string text;
+  std::vector<size_t> ends(n);
   size_t widest = 1;  // XOR PIR needs non-zero record length
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    std::string text;
+  size_t begin = 0;
+  for (size_t r = 0; r < n; ++r) {
     for (size_t c = 0; c < table.num_columns(); ++c) {
       if (c > 0) text.push_back('|');
-      text += table.at(r, c).ToDisplayString();
+      table.at(r, c).AppendDisplayString(&text);
     }
-    records.emplace_back(text.begin(), text.end());
-    if (records.back().size() > widest) widest = records.back().size();
+    ends[r] = text.size();
+    widest = std::max(widest, ends[r] - begin);
+    begin = ends[r];
   }
-  for (auto& record : records) record.resize(widest, 0);
+  // Each record sized once at the epoch's width, zero-padded.
+  std::vector<std::vector<uint8_t>> records;
+  records.reserve(n);
+  begin = 0;
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<uint8_t>& record = records.emplace_back(widest, uint8_t{0});
+    std::copy(text.begin() + static_cast<std::ptrdiff_t>(begin),
+              text.begin() + static_cast<std::ptrdiff_t>(ends[r]),
+              record.begin());
+    begin = ends[r];
+  }
   return records;
 }
 

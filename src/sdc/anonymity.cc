@@ -1,12 +1,15 @@
 #include "sdc/anonymity.h"
 
+#include <algorithm>
 #include <set>
 
 namespace tripriv {
 
 size_t AnonymityLevel(const DataTable& table,
                       const std::vector<size_t>& qi_cols) {
-  return GroupByColumns(table, qi_cols).MinClassSize();
+  const std::vector<size_t> sizes = ClassSizes(table, qi_cols);
+  if (sizes.empty()) return 0;
+  return *std::min_element(sizes.begin(), sizes.end());
 }
 
 size_t AnonymityLevel(const DataTable& table) {
@@ -55,11 +58,8 @@ size_t DistinctLDiversity(const DataTable& table, size_t conf_col) {
 double UniquenessFraction(const DataTable& table,
                           const std::vector<size_t>& qi_cols) {
   if (table.num_rows() == 0) return 0.0;
-  const EquivalenceClasses classes = GroupByColumns(table, qi_cols);
-  size_t unique = 0;
-  for (const auto& cls : classes.classes) {
-    if (cls.size() == 1) ++unique;
-  }
+  const std::vector<size_t> sizes = ClassSizes(table, qi_cols);
+  const auto unique = std::count(sizes.begin(), sizes.end(), size_t{1});
   return static_cast<double>(unique) / static_cast<double>(table.num_rows());
 }
 

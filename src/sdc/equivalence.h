@@ -23,9 +23,17 @@ struct EquivalenceClasses {
 };
 
 /// Groups rows of `table` by identical values of the columns `qi_cols`.
-/// Null (suppressed) cells compare equal to each other.
+/// Cells compare with Value::operator==: null (suppressed) cells equal each
+/// other, Value(1) differs from Value(1.0), +0.0 equals -0.0, and distinct
+/// integers differ even past 2^53. A NaN cell equals nothing, not even
+/// another NaN, so a row with a NaN QI cell forms a class of its own.
 EquivalenceClasses GroupByColumns(const DataTable& table,
                                   const std::vector<size_t>& qi_cols);
+
+/// The class sizes of GroupByColumns(table, qi_cols), in the same class
+/// order, without building the member lists.
+std::vector<size_t> ClassSizes(const DataTable& table,
+                               const std::vector<size_t>& qi_cols);
 
 /// Groups by the schema's quasi-identifier attributes.
 EquivalenceClasses GroupByQuasiIdentifiers(const DataTable& table);

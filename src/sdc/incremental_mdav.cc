@@ -3,26 +3,45 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <set>
-#include <utility>
+#include <numeric>
 
-#include "stats/descriptive.h"
 #include "util/thread_pool.h"
 
 namespace tripriv {
 namespace {
 
-/// Mean of the `cols` values over `member_rows` of `raw` (row-major over
-/// cols), in the original scale.
-std::vector<double> RawCentroid(const std::vector<std::vector<double>>& raw,
-                                const std::vector<size_t>& member_rows) {
-  TRIPRIV_CHECK(!member_rows.empty());
-  std::vector<double> c(raw[0].size(), 0.0);
-  for (size_t r : member_rows) {
-    for (size_t j = 0; j < c.size(); ++j) c[j] += raw[r][j];
+/// Squared distance between two d-dimensional points, summed in
+/// coordinate order.
+double SquaredDistanceOf(const double* a, const double* b, size_t d) {
+  double s = 0;
+  for (size_t j = 0; j < d; ++j) {
+    const double diff = a[j] - b[j];
+    s += diff * diff;
   }
-  for (double& v : c) v /= static_cast<double>(member_rows.size());
-  return c;
+  return s;
+}
+
+/// Means in the original scale of the groups 0..num_groups-1 over the
+/// row-major `raw` (d values per row), row-major by group; rows whose group
+/// is SIZE_MAX take no part. One pass in ascending row order, so every
+/// group sums its members in row order. `sizes` receives the group sizes.
+std::vector<double> GroupMeans(const std::vector<double>& raw, size_t d,
+                               const std::vector<size_t>& group_of_row,
+                               size_t num_groups, std::vector<size_t>* sizes) {
+  std::vector<double> means(num_groups * d, 0.0);
+  sizes->assign(num_groups, 0);
+  for (size_t r = 0; r < group_of_row.size(); ++r) {
+    const size_t g = group_of_row[r];
+    if (g == SIZE_MAX) continue;
+    ++(*sizes)[g];
+    for (size_t j = 0; j < d; ++j) means[g * d + j] += raw[r * d + j];
+  }
+  for (size_t g = 0; g < num_groups; ++g) {
+    for (size_t j = 0; j < d; ++j) {
+      means[g * d + j] /= static_cast<double>((*sizes)[g]);
+    }
+  }
+  return means;
 }
 
 }  // namespace
@@ -42,62 +61,93 @@ Result<IncrementalMdavResult> IncrementalMdav(
   if (cols.empty()) return Status::InvalidArgument("no columns to maintain");
 
   const size_t n = base.num_rows();
-  TRIPRIV_ASSIGN_OR_RETURN(auto raw, base.NumericMatrix(cols));
-
-  // Previous groups that lost or changed a member.
-  std::set<size_t> dirty_groups;
-  for (uint64_t uid : dirty_uids) {
-    auto it = prev_group_of_uid.find(uid);
-    if (it != prev_group_of_uid.end()) dirty_groups.insert(it->second);
+  const size_t d = cols.size();
+  // The maintained columns, row-major: raw[r * d + j] is cols[j] of row r.
+  std::vector<double> raw(n * d);
+  for (size_t j = 0; j < d; ++j) {
+    Result<std::vector<double>> column = base.NumericColumn(cols[j]);
+    if (!column.ok()) {
+      // Name the first non-numeric cell in row order, as a row-major read
+      // of the columns does.
+      return base.NumericMatrix(cols).status();
+    }
+    for (size_t r = 0; r < n; ++r) raw[r * d + j] = (*column)[r];
   }
+
+  // Previous group of a uid, SIZE_MAX when it had none. Previous ids index
+  // a dense array below; every previous group had a member, so a lawful id
+  // is below the previous row count, and any other id is refused.
+  const size_t prev_rows = prev_group_of_uid.size();
+  bool id_out_of_range = false;
+  auto prev_group = [&prev_group_of_uid, prev_rows,
+                     &id_out_of_range](uint64_t uid) -> size_t {
+    auto it = prev_group_of_uid.find(uid);
+    if (it == prev_group_of_uid.end()) return SIZE_MAX;
+    if (it->second >= prev_rows) {
+      id_out_of_range = true;
+      return SIZE_MAX;
+    }
+    return it->second;
+  };
+
+  // Previous groups that lost or changed a member, sorted and unique.
+  std::vector<size_t> dirty_groups;
+  for (uint64_t uid : dirty_uids) {
+    const size_t group = prev_group(uid);
+    if (group != SIZE_MAX) dirty_groups.push_back(group);
+  }
+  std::sort(dirty_groups.begin(), dirty_groups.end());
+  dirty_groups.erase(std::unique(dirty_groups.begin(), dirty_groups.end()),
+                     dirty_groups.end());
 
   // Partition current rows: clean rows keep their previous group; inserted
   // rows and members of dirty groups enter the recluster pool (row order —
   // the determinism anchor).
+  IncrementalMdavResult result;
+  result.group_of_row.assign(n, SIZE_MAX);
   std::vector<size_t> pool_rows;
-  std::vector<size_t> prev_group(n, SIZE_MAX);
+  std::vector<size_t> kept_id(prev_rows, SIZE_MAX);  // previous id -> kept id
   for (size_t r = 0; r < n; ++r) {
-    auto it = prev_group_of_uid.find(uids[r]);
-    const bool pooled =
-        it == prev_group_of_uid.end() || dirty_groups.count(it->second) > 0;
-    if (pooled) {
+    const size_t group = prev_group(uids[r]);
+    if (group == SIZE_MAX || std::binary_search(dirty_groups.begin(),
+                                                dirty_groups.end(), group)) {
       pool_rows.push_back(r);
     } else {
-      prev_group[r] = it->second;
+      kept_id[group] = 0;
+      result.group_of_row[r] = group;
     }
+  }
+  if (id_out_of_range) {
+    return Status::InvalidArgument("previous group id out of range");
   }
 
   // Renumber surviving clean groups 0..m-1 in ascending previous-id order.
-  std::set<size_t> kept_ids;
-  for (size_t r = 0; r < n; ++r) {
-    if (prev_group[r] != SIZE_MAX) kept_ids.insert(prev_group[r]);
+  size_t kept = 0;
+  for (size_t& id : kept_id) {
+    if (id != SIZE_MAX) id = kept++;
   }
-  std::unordered_map<size_t, size_t> renumber;
-  renumber.reserve(kept_ids.size());
-  for (size_t id : kept_ids) {
-    const size_t next = renumber.size();
-    renumber[id] = next;
+  for (size_t& group : result.group_of_row) {
+    if (group != SIZE_MAX) group = kept_id[group];
   }
-  const size_t kept = renumber.size();
-
-  IncrementalMdavResult result;
-  result.group_of_row.assign(n, SIZE_MAX);
   result.groups_kept = kept;
   result.rows_reclustered = pool_rows.size();
-  for (size_t r = 0; r < n; ++r) {
-    if (prev_group[r] != SIZE_MAX) {
-      result.group_of_row[r] = renumber[prev_group[r]];
-    }
-  }
   size_t num_groups = kept;
 
   if (pool_rows.size() >= k) {
     // A lawful MDAV run over the pool alone; pool group g becomes global
-    // group kept + g.
+    // group kept + g. MdavGroups sees only the pooled points, at their pool
+    // positions, so its row-order tie-breaks are unchanged.
+    std::vector<std::vector<double>> points(pool_rows.size());
+    for (size_t i = 0; i < pool_rows.size(); ++i) {
+      const double* p = raw.data() + pool_rows[i] * d;
+      points[i].assign(p, p + d);
+    }
+    std::vector<size_t> positions(pool_rows.size());
+    std::iota(positions.begin(), positions.end(), 0);
     TRIPRIV_ASSIGN_OR_RETURN(MdavGrouping sub,
-                             MdavGroups(raw, pool_rows, k, workers));
+                             MdavGroups(points, positions, k, workers));
     for (size_t g = 0; g < sub.groups.size(); ++g) {
-      for (size_t r : sub.groups[g]) result.group_of_row[r] = kept + g;
+      for (size_t i : sub.groups[g]) result.group_of_row[pool_rows[i]] = kept + g;
     }
     num_groups = kept + sub.groups.size();
   } else if (!pool_rows.empty()) {
@@ -111,21 +161,17 @@ Result<IncrementalMdavResult> IncrementalMdav(
       // Residual pool < k: absorb each row into the nearest clean group
       // (groups only grow, so their k-guarantee is preserved). Centroids
       // are the clean groups' raw means; ties break on the lowest id.
-      std::vector<std::vector<size_t>> members(kept);
-      for (size_t r = 0; r < n; ++r) {
-        if (prev_group[r] != SIZE_MAX) {
-          members[result.group_of_row[r]].push_back(r);
-        }
-      }
-      std::vector<std::vector<double>> centroids(kept);
-      for (size_t g = 0; g < kept; ++g) centroids[g] = RawCentroid(raw, members[g]);
+      std::vector<size_t> sizes;
+      const std::vector<double> centroids =
+          GroupMeans(raw, d, result.group_of_row, kept, &sizes);
       for (size_t r : pool_rows) {
         size_t best = 0;
         double best_d = std::numeric_limits<double>::infinity();
         for (size_t g = 0; g < kept; ++g) {
-          const double d = SquaredDistance(raw[r], centroids[g]);
-          if (d < best_d) {
-            best_d = d;
+          const double dist = SquaredDistanceOf(raw.data() + r * d,
+                                                centroids.data() + g * d, d);
+          if (dist < best_d) {
+            best_d = dist;
             best = g;
           }
         }
@@ -135,25 +181,24 @@ Result<IncrementalMdavResult> IncrementalMdav(
   }
   result.num_groups = num_groups;
 
-  // Final membership, centroid recompute (original scale), and masking.
-  std::vector<std::vector<size_t>> members(num_groups);
-  for (size_t r = 0; r < n; ++r) {
-    TRIPRIV_CHECK(result.group_of_row[r] != SIZE_MAX);
-    members[result.group_of_row[r]].push_back(r);
-  }
+  // Final sizes and centroids (original scale), then masking.
+  for (size_t group : result.group_of_row) TRIPRIV_CHECK(group != SIZE_MAX);
+  std::vector<size_t> sizes;
+  const std::vector<double> centroids =
+      GroupMeans(raw, d, result.group_of_row, num_groups, &sizes);
   result.min_group_size = n;
-  std::vector<std::vector<double>> masked = raw;
-  for (size_t g = 0; g < num_groups; ++g) {
-    TRIPRIV_CHECK(!members[g].empty()) << "empty group after maintenance";
-    result.min_group_size = std::min(result.min_group_size, members[g].size());
-    const auto centroid = RawCentroid(raw, members[g]);
-    for (size_t r : members[g]) masked[r] = centroid;
+  for (size_t size : sizes) {
+    TRIPRIV_CHECK(size > 0) << "empty group after maintenance";
+    result.min_group_size = std::min(result.min_group_size, size);
   }
   result.protected_table = base;
-  for (size_t j = 0; j < cols.size(); ++j) {
-    std::vector<double> col(n);
-    for (size_t r = 0; r < n; ++r) col[r] = masked[r][j];
-    TRIPRIV_RETURN_IF_ERROR(result.protected_table.SetNumericColumn(cols[j], col));
+  std::vector<double> column(n);
+  for (size_t j = 0; j < d; ++j) {
+    for (size_t r = 0; r < n; ++r) {
+      column[r] = centroids[result.group_of_row[r] * d + j];
+    }
+    TRIPRIV_RETURN_IF_ERROR(
+        result.protected_table.SetNumericColumn(cols[j], column));
   }
   return result;
 }

@@ -66,10 +66,11 @@ struct IncrementalMdavResult {
 /// `uids[i]` is the stable id of base row `i` (post-mutation membership).
 /// `prev_group_of_uid` maps every uid of the PREVIOUS epoch to its group id
 /// there (empty on bootstrap: everything is pooled and this is a full MDAV
-/// run). `dirty_uids` are the batch's inserted, updated, and deleted uids —
-/// deleted uids are naturally absent from `uids` but mark their previous
-/// group dirty. `workers` shards the MDAV distance scans (bit-identical at
-/// any thread count).
+/// run); an epoch has no more groups than rows, so an id at or above the
+/// map's size is kInvalidArgument. `dirty_uids` are the batch's inserted,
+/// updated, and deleted uids — deleted uids are naturally absent from
+/// `uids` but mark their previous group dirty. `workers` shards the MDAV
+/// distance scans (bit-identical at any thread count).
 Result<IncrementalMdavResult> IncrementalMdav(
     const DataTable& base, const std::vector<uint64_t>& uids,
     const std::vector<size_t>& cols, size_t k,

@@ -63,6 +63,20 @@ Status DataTable::AppendRow(std::vector<Value> row) {
   return Status::OK();
 }
 
+void DataTable::EraseRows(const std::vector<size_t>& sorted_rows) {
+  size_t next = 0;
+  size_t out = 0;
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    if (next < sorted_rows.size() && sorted_rows[next] == r) {
+      ++next;
+    } else {
+      rows_[out++].swap(rows_[r]);
+    }
+  }
+  TRIPRIV_CHECK(next == sorted_rows.size());
+  rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(out), rows_.end());
+}
+
 std::vector<Value> DataTable::ColumnValues(size_t col) const {
   TRIPRIV_CHECK_LT(col, schema_.size());
   std::vector<Value> out;

@@ -52,6 +52,11 @@ class DataTable {
   /// Appends a row after validating arity and cell types.
   Status AppendRow(std::vector<Value> row);
 
+  /// Removes the rows at `sorted_rows` (strictly ascending, each below
+  /// num_rows) in one stable compaction: the other rows keep their order
+  /// and are moved, not copied.
+  void EraseRows(const std::vector<size_t>& sorted_rows);
+
   /// Validates `v` against the attribute at `col` (null always allowed).
   Status ValidateCell(size_t col, const Value& v) const;
 

@@ -1,6 +1,7 @@
 #include "table/mutation.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "util/checksum.h"
@@ -34,6 +35,54 @@ void MixValue(uint64_t* h, const Value& v) {
     for (char c : s) Fnv1aMix(h, static_cast<uint8_t>(c));
   }
 }
+
+/// Row of a uid the batch has not resolved, or deleted in the batch.
+constexpr size_t kNoRow = SIZE_MAX;
+
+/// Open-addressing map from the few uids one batch names to their current
+/// row. Sized at construction for `max_uids` claims (load at most 1/2), so
+/// the pass over every uid of the table costs one probe each, mostly into
+/// an empty slot.
+class UidRows {
+ public:
+  explicit UidRows(size_t max_uids) {
+    size_t capacity = 8;
+    while (capacity < 2 * max_uids) capacity *= 2;
+    slots_.resize(capacity);
+    mask_ = capacity - 1;
+  }
+
+  /// The row of `uid`; claims a slot (row kNoRow) on first sight.
+  size_t* Claim(uint64_t uid) {
+    Slot& slot = SlotOf(uid);
+    if (!slot.used) slot = {uid, kNoRow, true};
+    return &slot.row;
+  }
+
+  /// The row of `uid`, or nullptr when it was never claimed.
+  size_t* Find(uint64_t uid) {
+    Slot& slot = SlotOf(uid);
+    return slot.used ? &slot.row : nullptr;
+  }
+
+ private:
+  struct Slot {
+    uint64_t uid = 0;
+    size_t row = kNoRow;
+    bool used = false;
+  };
+
+  /// The slot holding `uid`, or the empty slot its probe ends at.
+  Slot& SlotOf(uint64_t uid) {
+    const uint64_t h = uid * 0x9E3779B97F4A7C15ull;
+    size_t s = static_cast<size_t>(h ^ (h >> 32)) & mask_;
+    while (slots_[s].used && slots_[s].uid != uid) s = (s + 1) & mask_;
+    return slots_[s];
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+};
 
 }  // namespace
 
@@ -82,58 +131,57 @@ Result<MutationApplyResult> ApplyMutations(const std::vector<RowMutation>& batch
     return Status::InvalidArgument("uid vector does not match table rows");
   }
 
-  // Work on a positional copy with tombstones; the table is rebuilt once at
-  // the end (deletes would otherwise shift row indices under the map).
-  std::vector<std::vector<Value>> rows;
-  rows.reserve(base->num_rows());
-  for (size_t r = 0; r < base->num_rows(); ++r) rows.push_back(base->row(r));
-  std::vector<uint64_t> out_uids = *uids;
-  std::vector<bool> dead(rows.size(), false);
-  std::unordered_map<uint64_t, size_t> index_of_uid;
-  index_of_uid.reserve(out_uids.size());
-  for (size_t r = 0; r < out_uids.size(); ++r) index_of_uid[out_uids[r]] = r;
+  // Resolve only the uids the batch names, in one pass over `uids` (the
+  // last row holding a uid wins). Rows keep their index until the batch
+  // ends, so an update or delete of a uid inserted earlier in the batch
+  // resolves through the same map.
+  UidRows rows_of(batch.size());
+  for (const RowMutation& m : batch) {
+    if (m.kind != MutationKind::kInsert) rows_of.Claim(m.uid);
+  }
+  for (size_t r = 0; r < uids->size(); ++r) {
+    if (size_t* row = rows_of.Find((*uids)[r])) *row = r;
+  }
 
-  auto validate_row = [base](const std::vector<Value>& row) -> Status {
-    if (row.size() != base->num_columns()) {
-      return Status::InvalidArgument("mutation row arity does not match schema");
-    }
-    for (size_t c = 0; c < row.size(); ++c) {
-      TRIPRIV_RETURN_IF_ERROR(base->ValidateCell(c, row[c]));
-    }
-    return Status::OK();
-  };
-
+  const size_t arity = base->num_columns();
   MutationApplyResult result;
+  std::vector<size_t> erased;
   for (const RowMutation& m : batch) {
     switch (m.kind) {
       case MutationKind::kInsert: {
-        TRIPRIV_RETURN_IF_ERROR(validate_row(m.row));
+        if (m.row.size() != arity) {
+          return Status::InvalidArgument("mutation row arity does not match schema");
+        }
+        TRIPRIV_RETURN_IF_ERROR(base->AppendRow(m.row));
         const uint64_t uid = (*next_uid)++;
-        index_of_uid[uid] = rows.size();
-        rows.push_back(m.row);
-        out_uids.push_back(uid);
-        dead.push_back(false);
+        *rows_of.Claim(uid) = uids->size();
+        uids->push_back(uid);
         result.dirty_uids.push_back(uid);
         ++result.inserts;
         break;
       }
       case MutationKind::kDelete: {
-        auto it = index_of_uid.find(m.uid);
-        if (it == index_of_uid.end() || dead[it->second]) {
+        size_t* row = rows_of.Find(m.uid);
+        if (row == nullptr || *row == kNoRow) {
           return Status::NotFound("delete of unknown uid");
         }
-        dead[it->second] = true;
+        erased.push_back(*row);
+        *row = kNoRow;
         result.dirty_uids.push_back(m.uid);
         ++result.deletes;
         break;
       }
       case MutationKind::kUpdate: {
-        auto it = index_of_uid.find(m.uid);
-        if (it == index_of_uid.end() || dead[it->second]) {
+        const size_t* row = rows_of.Find(m.uid);
+        if (row == nullptr || *row == kNoRow) {
           return Status::NotFound("update of unknown uid");
         }
-        TRIPRIV_RETURN_IF_ERROR(validate_row(m.row));
-        rows[it->second] = m.row;
+        if (m.row.size() != arity) {
+          return Status::InvalidArgument("mutation row arity does not match schema");
+        }
+        for (size_t c = 0; c < arity; ++c) {
+          TRIPRIV_RETURN_IF_ERROR(base->Set(*row, c, m.row[c]));
+        }
         result.dirty_uids.push_back(m.uid);
         ++result.updates;
         break;
@@ -141,18 +189,21 @@ Result<MutationApplyResult> ApplyMutations(const std::vector<RowMutation>& batch
     }
   }
 
-  std::vector<std::vector<Value>> kept_rows;
-  std::vector<uint64_t> kept_uids;
-  kept_rows.reserve(rows.size());
-  kept_uids.reserve(rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (dead[r]) continue;
-    kept_rows.push_back(std::move(rows[r]));
-    kept_uids.push_back(out_uids[r]);
+  // One stable compaction drops every deleted row and its uid.
+  if (!erased.empty()) {
+    std::sort(erased.begin(), erased.end());
+    base->EraseRows(erased);
+    size_t out = erased[0];
+    size_t next = 0;
+    for (size_t r = out; r < uids->size(); ++r) {
+      if (next < erased.size() && erased[next] == r) {
+        ++next;
+        continue;
+      }
+      (*uids)[out++] = (*uids)[r];
+    }
+    uids->resize(out);
   }
-  TRIPRIV_ASSIGN_OR_RETURN(
-      *base, DataTable::FromRows(base->schema(), std::move(kept_rows)));
-  *uids = std::move(kept_uids);
   return result;
 }
 

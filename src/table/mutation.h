@@ -55,7 +55,10 @@ struct MutationApplyResult {
 /// Applies `batch` in order to the image (`base`, `uids`), where uids[i] is
 /// the stable id of base row i. Inserted rows get fresh uids from
 /// `*next_uid` (incremented). Every payload cell is validated against the
-/// schema; kDelete / kUpdate of an unknown uid is kNotFound. On any error
+/// schema; kDelete / kUpdate of an unknown uid is kNotFound. The image is
+/// edited in place: updates overwrite their row, inserts append, and
+/// deletes leave in one stable compaction at the end, so rows the batch
+/// does not name are neither copied nor re-validated. On any error
 /// the image is left in an unspecified partially-applied state — callers
 /// apply to scratch copies and discard them on failure (the copy-on-write
 /// flip discipline).

@@ -61,13 +61,20 @@ class Value {
   /// compact representation.
   std::string ToDisplayString() const;
 
+  /// Appends the ToDisplayString form to `*out`: integers in decimal, reals
+  /// as printf's "%.10g" (std::to_chars' general format at precision 10 is
+  /// defined as exactly that), strings verbatim, null as nothing.
+  void AppendDisplayString(std::string* out) const;
+
   /// Deep equality. Integer and real payloads are distinct even when
   /// numerically equal (Value(1) != Value(1.0)).
   bool operator==(const Value& other) const { return data_ == other.data_; }
   bool operator!=(const Value& other) const { return !(*this == other); }
 
-  /// Total order for grouping and sorting: null < numerics (by numeric
-  /// value; ints and reals compare numerically) < strings (lexicographic).
+  /// Total order for grouping and sorting: null < numerics < strings
+  /// (lexicographic). Numerics order lexicographically on (value as a
+  /// double, int before real, exact integer value), so two integers past
+  /// 2^53 that share a double still compare exactly.
   bool operator<(const Value& other) const;
 
   /// Hash compatible with operator== (used by equivalence-class grouping).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "sdc/equivalence.h"
 #include "table/datasets.h"
 
@@ -31,6 +34,36 @@ TEST(EquivalenceTest, NullCellsGroupTogether) {
   ASSERT_TRUE(t.ok());
   auto classes = GroupByQuasiIdentifiers(*t);
   EXPECT_EQ(classes.classes.size(), 2u);
+}
+
+TEST(EquivalenceTest, LargeIntegersFormDistinctClasses) {
+  // 2^53 and 2^53 + 1 share a double: comparing them through double put
+  // both rows in one class, and the k-gate passed k = 2 on two unique rows.
+  Schema s({{"x", AttributeType::kInteger, AttributeRole::kQuasiIdentifier},
+            {"y", AttributeType::kInteger, AttributeRole::kConfidential}});
+  auto t = DataTable::FromRows(
+      s, {{Value(int64_t{9007199254740992}), Value(int64_t{9007199254740992})},
+          {Value(int64_t{9007199254740993}), Value(int64_t{9007199254740993})}});
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(GroupByQuasiIdentifiers(*t).classes.size(), 2u);
+  EXPECT_EQ(AnonymityLevel(*t), 1u);
+  EXPECT_FALSE(IsKAnonymous(*t, 2));
+  // One class over no columns: both confidential values are distinct.
+  EXPECT_EQ(SensitivityLevel(*t, {}, 1), 2u);
+}
+
+TEST(EquivalenceTest, NanCellsFormSingletonClasses) {
+  // A NaN cell equals nothing, not even another NaN: each such row is a
+  // class of its own, while +0.0 and -0.0 share one.
+  Schema s({{"x", AttributeType::kReal, AttributeRole::kQuasiIdentifier}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto t = DataTable::FromRows(s, {{nan}, {0.0}, {nan}, {-0.0}, {nan}});
+  ASSERT_TRUE(t.ok());
+  const EquivalenceClasses classes = GroupByQuasiIdentifiers(*t);
+  const std::vector<std::vector<size_t>> expected = {{0}, {1, 3}, {2}, {4}};
+  EXPECT_EQ(classes.classes, expected);
+  EXPECT_EQ(ClassSizes(*t, {0}), (std::vector<size_t>{1, 2, 1, 1}));
+  EXPECT_EQ(AnonymityLevel(*t), 1u);
 }
 
 TEST(EquivalenceTest, GroupByExplicitColumns) {

@@ -66,6 +66,19 @@ TEST(ValueTest, OrderingIsStrictWeak) {
   EXPECT_FALSE(i < r && r < i);
 }
 
+TEST(ValueTest, IntegersCompareExactlyPastTwoToThe53) {
+  // 2^53 + 1 has no double of its own: it rounds to 2^53.
+  const Value two53(int64_t{9007199254740992});
+  const Value two53_plus_one(int64_t{9007199254740993});
+  const Value real_two53(9007199254740992.0);
+  EXPECT_LT(two53, two53_plus_one);
+  EXPECT_LT(two53_plus_one, real_two53);
+  EXPECT_LT(two53, real_two53);
+  EXPECT_FALSE(two53_plus_one < two53);
+  EXPECT_FALSE(real_two53 < two53_plus_one);
+  EXPECT_LT(Value(int64_t{-9007199254740993}), Value(int64_t{-9007199254740992}));
+}
+
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(7).Hash(), Value(7).Hash());
   EXPECT_EQ(Value("x").Hash(), Value("x").Hash());

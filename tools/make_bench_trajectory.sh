@@ -9,10 +9,11 @@
 # Usage: tools/make_bench_trajectory.sh [build-dir] [out.json] [min-time]
 #
 # The snapshot is the CI artifact that tracks the write path (epoch flips,
-# incremental vs full recluster), the read path (batch PIR at several
-# thread counts), and the observability tax across PRs. Context noise that
-# changes per run (dates, load averages) is stripped so diffs between
-# trajectory files show perf movement, not wall-clock trivia.
+# incremental vs full recluster, each flip stage alone), the read path
+# (batch PIR at several thread counts), and the observability tax from
+# change to change. Context noise that changes per run (dates, load
+# averages) is stripped so diffs between trajectory files show perf
+# movement, not wall-clock trivia.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
