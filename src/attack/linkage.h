@@ -8,24 +8,34 @@
 //   * RecordLinkageAttack links each original record to its nearest masked
 //     record in standardized QI space; a link is a success when it lands on
 //     the true row, with fractional 1/|tie set| credit for tied distances.
-//     Both modes run sdc/risk.h's nearest-neighbour core: StandardizeJointly
-//     (the original's column moments) and NearestTies (the 1e-12 tie
-//     epsilon). In exact mode (block_bins = 0) every masked row is a
-//     candidate and the per-row credit accumulates in index order, exactly
-//     as sdc/risk.h DistanceLinkageAttack does, so the two agree bitwise
+//     Both modes run sdc/risk.h's nearest-neighbour core over
+//     LinkagePoints — both tables' QI columns in row-major buffers,
+//     standardized with the original's column moments — and NearestTies
+//     (the 1e-12 tie epsilon over candidates in ascending row order). In
+//     exact mode (block_bins = 0) every masked row is a candidate and the
+//     per-row credit accumulates in index order, exactly as sdc/risk.h
+//     DistanceLinkageAttack does, so the two agree bitwise
 //     (LinkageReconciliationTest asserts it). In blocked mode
-//     (block_bins > 0) candidates come from a grid over masked QI space with
-//     progressive neighborhood expansion, which scales the attack to 10^6
-//     rows at slightly conservative (never inflated) success rates.
+//     (block_bins > 0) the masked rows are grouped by cell of a
+//     block_bins-per-column grid over their range, in one CSR array under
+//     an exact cell key (the bins packed in mixed radix, so
+//     block_bins^|qi_cols| must fit a signed 64-bit word; larger grids are
+//     refused with kInvalidArgument). Each probe takes as candidates the
+//     rows of the first non-empty neighbourhood of its cell at Chebyshev
+//     radius 0, 1, ..., max_radius, clipped to the grid; past max_radius
+//     it is unlinkable. This scales the attack to 10^6 rows at slightly
+//     conservative (never inflated) success rates.
+//     tests/attack/linkage_reference_test.cc keeps the vector-of-vectors
+//     core this replaced, with an exact key, and requires equal outcomes.
 //
 //   * AttributeDisclosureAttack goes one step further: after linking, the
 //     adversary reads the confidential attribute off the linked rows and
 //     wins when the tie-set average lands within a window of the truth —
 //     the interval-disclosure notion of risk.h lifted to linked records.
 //
-// Both attacks parallelize over original rows with per-index result slots
-// and a serial index-order merge, so outcomes are byte-identical at any
-// thread count.
+// Both attacks parallelize over original rows with per-index result slots,
+// per-shard gather scratch and a serial index-order merge, so outcomes are
+// byte-identical at any thread count.
 
 #pragma once
 
@@ -43,7 +53,8 @@ struct LinkageConfig {
   /// QI columns to link on; empty = the original schema's quasi-identifiers.
   std::vector<size_t> qi_cols;
   /// 0 = exact all-pairs nearest neighbor (O(n^2); reconciliation mode).
-  /// > 0 = per-column grid resolution for blocked search (O(n * cell)).
+  /// > 0 = per-column grid resolution for blocked search (O(n * cell));
+  /// block_bins^|qi_cols| must fit a signed 64-bit word.
   size_t block_bins = 0;
   /// Blocked mode: widen the cell neighborhood up to this Chebyshev radius
   /// before giving up on a row (unlinkable rows count as failures).

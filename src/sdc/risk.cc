@@ -9,36 +9,65 @@
 
 namespace tripriv {
 
-void StandardizeJointly(std::vector<std::vector<double>>* a,
-                        std::vector<std::vector<double>>* b) {
-  if (a->empty()) return;
-  const size_t d = (*a)[0].size();
-  for (size_t j = 0; j < d; ++j) {
-    std::vector<double> col(a->size());
-    for (size_t i = 0; i < a->size(); ++i) col[i] = (*a)[i][j];
-    const double mean = Mean(col);
-    const double sd = col.size() >= 2 ? SampleStddev(col) : 0.0;
-    const double scale = sd > 0.0 ? 1.0 / sd : 1.0;
-    for (auto& row : *a) row[j] = (row[j] - mean) * scale;
-    for (auto& row : *b) row[j] = (row[j] - mean) * scale;
+Result<LinkagePoints> StandardizedLinkagePoints(
+    const DataTable& original, const DataTable& masked,
+    const std::vector<size_t>& qi_cols) {
+  if (original.num_rows() != masked.num_rows()) {
+    return Status::InvalidArgument("linkage points need row-aligned tables");
   }
-}
-
-std::vector<size_t> NearestTies(const std::vector<double>& probe,
-                                const std::vector<std::vector<double>>& rel,
-                                const std::vector<size_t>& candidates) {
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<size_t> ties;
-  for (size_t j : candidates) {
-    const double d = SquaredDistance(probe, rel[j]);
-    if (d < best - 1e-12) {
-      best = d;
-      ties.assign(1, j);
-    } else if (std::fabs(d - best) <= 1e-12) {
-      ties.push_back(j);
+  LinkagePoints points;
+  points.dims = qi_cols.size();
+  points.rows = original.num_rows();
+  const size_t d = points.dims;
+  const size_t n = points.rows;
+  points.external.resize(n * d);
+  points.released.resize(n * d);
+  std::vector<double> mean(d, 0.0);
+  std::vector<double> scale(d, 1.0);
+  // The original's columns first, then the release's, so the first
+  // failure is the one a row-major read of the original, then of the
+  // release, meets.
+  for (size_t j = 0; j < d; ++j) {
+    Result<std::vector<double>> col = original.NumericColumn(qi_cols[j]);
+    if (!col.ok()) return original.NumericMatrix(qi_cols).status();
+    if (n == 0) continue;
+    mean[j] = Mean(*col);
+    const double sd = n >= 2 ? SampleStddev(*col) : 0.0;
+    scale[j] = sd > 0.0 ? 1.0 / sd : 1.0;
+    for (size_t i = 0; i < n; ++i) {
+      points.external[i * d + j] = ((*col)[i] - mean[j]) * scale[j];
     }
   }
-  return ties;
+  for (size_t j = 0; j < d; ++j) {
+    Result<std::vector<double>> col = masked.NumericColumn(qi_cols[j]);
+    if (!col.ok()) return masked.NumericMatrix(qi_cols).status();
+    for (size_t i = 0; i < n; ++i) {
+      points.released[i * d + j] = ((*col)[i] - mean[j]) * scale[j];
+    }
+  }
+  return points;
+}
+
+void NearestTies(const LinkagePoints& points, const double* probe,
+                 const std::vector<size_t>& candidates,
+                 std::vector<size_t>* ties) {
+  const size_t d = points.dims;
+  double best = std::numeric_limits<double>::infinity();
+  ties->clear();
+  for (size_t j : candidates) {
+    const double* other = points.candidate(j);
+    double dist = 0;
+    for (size_t c = 0; c < d; ++c) {
+      const double diff = probe[c] - other[c];
+      dist += diff * diff;
+    }
+    if (dist < best - 1e-12) {
+      best = dist;
+      ties->assign(1, j);
+    } else if (std::fabs(dist - best) <= 1e-12) {
+      ties->push_back(j);
+    }
+  }
 }
 
 Result<LinkageResult> DistanceLinkageAttack(const DataTable& original,
@@ -51,18 +80,19 @@ Result<LinkageResult> DistanceLinkageAttack(const DataTable& original,
   if (qi_cols.empty()) {
     return Status::InvalidArgument("no quasi-identifier columns given");
   }
-  TRIPRIV_ASSIGN_OR_RETURN(auto ext, original.NumericMatrix(qi_cols));
-  TRIPRIV_ASSIGN_OR_RETURN(auto rel, masked.NumericMatrix(qi_cols));
-  StandardizeJointly(&ext, &rel);
+  TRIPRIV_ASSIGN_OR_RETURN(
+      const LinkagePoints points,
+      StandardizedLinkagePoints(original, masked, qi_cols));
 
-  std::vector<size_t> all_rows(rel.size());
+  std::vector<size_t> all_rows(points.rows);
   std::iota(all_rows.begin(), all_rows.end(), size_t{0});
 
   LinkageResult result;
   result.total = original.num_rows();
   double expected_correct = 0.0;
-  for (size_t i = 0; i < ext.size(); ++i) {
-    const std::vector<size_t> ties = NearestTies(ext[i], rel, all_rows);
+  std::vector<size_t> ties;
+  for (size_t i = 0; i < points.rows; ++i) {
+    NearestTies(points, points.probe(i), all_rows, &ties);
     for (size_t j : ties) {
       if (j == i) {
         expected_correct += 1.0 / static_cast<double>(ties.size());

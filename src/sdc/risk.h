@@ -36,21 +36,41 @@ struct LinkageResult {
   double correct_fraction = 0.0;  ///< expected_correct / total
 };
 
-/// Standardizes `a` and `b` jointly, column by column, with the means and
-/// sample sds of `a` (the attacker's external data defines the scale; a
-/// constant column is only centered). Both matrices must share a width.
-void StandardizeJointly(std::vector<std::vector<double>>* a,
-                        std::vector<std::vector<double>>* b);
+/// The linkage core's points: the quasi-identifier columns of an original
+/// table and of its row-aligned release, each row-major n x dims in one
+/// buffer, standardized column by column with the ORIGINAL's mean and
+/// sample sd (the attacker's external data defines the scale; a constant
+/// column is only centered): x -> (x - mean) * (1 / sd).
+struct LinkagePoints {
+  size_t dims = 0;
+  size_t rows = 0;               ///< in each table
+  std::vector<double> external;  ///< the original's rows: the probes
+  std::vector<double> released;  ///< the release's rows: the candidates
 
-/// The nearest-neighbour tie set of `probe` among `candidates` (indices
-/// into `rel`): the candidates whose squared distance is within 1e-12 of
-/// the running minimum. `candidates` must be ascending, so the scan order
-/// — and with it the floating-point trajectory of the running minimum —
-/// does not depend on how the candidates were gathered. The linkage core
-/// shared by DistanceLinkageAttack and src/attack/linkage.h.
-std::vector<size_t> NearestTies(const std::vector<double>& probe,
-                                const std::vector<std::vector<double>>& rel,
-                                const std::vector<size_t>& candidates);
+  const double* probe(size_t i) const { return external.data() + i * dims; }
+  const double* candidate(size_t j) const {
+    return released.data() + j * dims;
+  }
+};
+
+/// Reads `qi_cols` of both tables into LinkagePoints. Fails when the row
+/// counts differ, else on the first non-numeric cell in row-major order,
+/// the original's before the release's.
+Result<LinkagePoints> StandardizedLinkagePoints(
+    const DataTable& original, const DataTable& masked,
+    const std::vector<size_t>& qi_cols);
+
+/// Writes to `ties` the nearest-neighbour tie set of `probe` among
+/// `candidates` (indices into `points.released`): the candidates whose
+/// squared distance is within 1e-12 of the running minimum. `candidates`
+/// must be ascending, so the scan order — and with it the floating-point
+/// trajectory of the running minimum — does not depend on how the
+/// candidates were gathered. `ties` is cleared first and keeps its
+/// capacity. The linkage core shared by DistanceLinkageAttack and
+/// src/attack/linkage.h.
+void NearestTies(const LinkagePoints& points, const double* probe,
+                 const std::vector<size_t>& candidates,
+                 std::vector<size_t>* ties);
 
 /// Distance-based record linkage. `original` and `masked` must have the
 /// same row count with row i of both referring to the same respondent. For

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds one perf-trajectory snapshot (BENCH_prN.json) out of the
-# serving-path benches: google-benchmark JSON from bench_parallel_throughput
-# and bench_epoch_flip, merged with the parsed bench_obs_overhead report,
+# serving-path benches: google-benchmark JSON from bench_parallel_throughput,
+# bench_epoch_flip and bench_linkage, merged with the parsed
+# bench_obs_overhead report,
 # the per-mix verdicts of the bench_traffic_slo gate, the upload / compute
 # rows of the bench_recursive_pir gate, and the collusion / k-anonymity
 # verdicts of the bench_attack_suite gate.
@@ -10,8 +11,9 @@
 #
 # The snapshot is the CI artifact that tracks the write path (epoch flips,
 # incremental vs full recluster, each flip stage alone), the read path
-# (batch PIR at several thread counts), and the observability tax from
-# change to change. Context noise that changes per run (dates, load
+# (batch PIR at several thread counts), the record-linkage stage of the
+# census Table 2 (per release, per thread count), and the observability tax
+# from change to change. Context noise that changes per run (dates, load
 # averages) is stripped so diffs between trajectory files show perf
 # movement, not wall-clock trivia.
 set -euo pipefail
@@ -29,6 +31,9 @@ trap 'rm -rf "${TMP}"' EXIT
 "${BUILD_DIR}/bench/bench_epoch_flip" \
   --benchmark_format=json --benchmark_min_time="${MIN_TIME}" \
   > "${TMP}/epoch.json"
+"${BUILD_DIR}/bench/bench_linkage" \
+  --benchmark_format=json --benchmark_min_time="${MIN_TIME}" \
+  > "${TMP}/linkage.json"
 # The obs bench exits nonzero above its 5% budget; the trajectory records
 # the number either way (CI gates on the bench's own exit code separately).
 "${BUILD_DIR}/bench/bench_obs_overhead" > "${TMP}/obs.txt" || true
@@ -64,7 +69,8 @@ def load_suite(path):
         }
         if "items_per_second" in b:
             row["items_per_second"] = round(b["items_per_second"], 2)
-        for key in ("threads", "batch", "rows", "dirty", "reclustered"):
+        for key in ("threads", "batch", "rows", "dirty", "reclustered",
+                    "successes"):
             if key in b:
                 row[key] = b[key]
         rows.append(row)
@@ -221,6 +227,7 @@ trajectory = {
     "suites": {
         "bench_parallel_throughput": load_suite(f"{tmp}/parallel.json"),
         "bench_epoch_flip": load_suite(f"{tmp}/epoch.json"),
+        "bench_linkage": load_suite(f"{tmp}/linkage.json"),
         "bench_obs_overhead": parse_obs(f"{tmp}/obs.txt"),
         "bench_traffic_slo": parse_traffic(f"{tmp}/traffic.txt"),
         "bench_recursive_pir": parse_recursive_pir(f"{tmp}/recursive_pir.txt"),
