@@ -1,17 +1,21 @@
 // Record-linkage cost: what one linkage attack of the census Table 2 costs.
 //
 // The respondent dimension of Table 2 is measured by distance-based record
-// linkage, and one census pass runs it seven times (five record-linkage
-// and two attribute-disclosure attacks), so the linkage core sets most of
-// that pass's cost. Each arm links every row of MakeCensusScale(50000, 11)
-// against one of the releases the scoreboard links, on its four numeric
-// quasi-identifiers, in blocked mode at the scoreboard's 24 bins and
-// max_radius 2; the argument is the worker count (0 = serial). The
-// releases differ in how many probes find a candidate in their own cell:
-// a verbatim release always does, microaggregated (sdc, k = 5) and
-// Mondrian (k = 5) releases hold one point per group, and noise (alpha
-// 0.5) moves every point. The exact arm runs sdc/risk.h's
-// DistanceLinkageAttack, the all-pairs scan, on a 2000-row MDAV release.
+// linkage, and one census pass runs the linkage core five times, once per
+// linked release (sdc, noise, Mondrian, the verbatim PIR table and the
+// fingerprinted copy); the sdc and noise passes return the attribute-
+// disclosure outcome too (attack::RunLinkageAttacks). Each BM_Linkage arm
+// links every row of MakeCensusScale(50000, 11) against one of those
+// releases, on its four numeric quasi-identifiers, in blocked mode at the
+// scoreboard's 24 bins and max_radius 2; the argument is the worker count
+// (0 = serial). The releases differ in how many probes find a candidate in
+// their own cell: a verbatim release always does, microaggregated (sdc,
+// k = 5) and Mondrian (k = 5) releases hold one point per group, and noise
+// (alpha 0.5) moves every point. The BM_LinkageAttacks arms time the
+// one-pass call the scoreboard makes on the sdc and noise releases (record
+// linkage and attribute disclosure on income, 5% window). The exact arm
+// runs sdc/risk.h's DistanceLinkageAttack, the all-pairs scan, on a
+// 2000-row MDAV release.
 //
 // Counters: `rows` linked per iteration and the attack's `successes` are
 // deterministic; items/s is probes per wall-clock second.
@@ -151,6 +155,47 @@ BENCHMARK_CAPTURE(BM_Linkage, mondrian, Release::kMondrian)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Linkage, verbatim, Release::kVerbatim)
+    ->ArgName("threads")
+    ->Arg(0)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// Record linkage and attribute disclosure from one linkage pass.
+void BM_LinkageAttacks(benchmark::State& state, Release release) {
+  const DataTable& original = Census();
+  const DataTable masked = BuildRelease(release);
+  const size_t threads = static_cast<size_t>(state.range(0));
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  attack::AttackContext ctx;
+  ctx.pool = pool.get();
+  attack::AttributeDisclosureConfig config;
+  config.linkage.qi_cols = NumericQis(original);
+  config.linkage.block_bins = 24;
+  config.confidential_col = *original.schema().IndexOf("income");
+  double successes = 0.0;
+  double disclosed = 0.0;
+  for (auto _ : state) {
+    auto outcomes = attack::RunLinkageAttacks(original, masked, config, ctx);
+    TRIPRIV_CHECK(outcomes.ok()) << outcomes.status().ToString();
+    successes = outcomes->record_linkage.successes;
+    disclosed = outcomes->attribute_disclosure.successes;
+    benchmark::DoNotOptimize(outcomes);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(original.num_rows()));
+  state.counters["rows"] = static_cast<double>(original.num_rows());
+  state.counters["successes"] = successes;
+  state.counters["disclosed"] = disclosed;
+}
+BENCHMARK_CAPTURE(BM_LinkageAttacks, sdc, Release::kSdc)
+    ->ArgName("threads")
+    ->Arg(0)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LinkageAttacks, noise, Release::kNoise)
     ->ArgName("threads")
     ->Arg(0)
     ->Arg(2)

@@ -98,8 +98,8 @@ class CellIndex {
 
   /// Fills scratch->candidates with the rows of the first non-empty
   /// neighbourhood of `probe`'s cell, widening the Chebyshev radius 0, 1,
-  /// ..., max_radius, in ascending row order; empty when every
-  /// neighbourhood up to max_radius is.
+  /// ..., max_radius, in cell order (ascending within a cell, not across
+  /// cells); empty when every neighbourhood up to max_radius is.
   void Gather(const double* probe, size_t max_radius, Scratch* s) const {
     s->candidates.clear();
     for (size_t j = 0; j < dims_; ++j) s->center[j] = BinOf(probe[j], j);
@@ -116,7 +116,6 @@ class CellIndex {
       // were looked up at smaller radii and are empty. A line whose outer
       // bins lie on the ring contributes every cell in [first0, last0];
       // any other line only its two cells at bin 0 = center0 -+ r.
-      size_t cells_hit = 0;
       while (true) {
         bool on_ring = r == 0;
         int64_t line = 0;
@@ -140,7 +139,6 @@ class CellIndex {
             s->candidates.insert(s->candidates.end(),
                                  members_.begin() + cell_begin_[c],
                                  members_.begin() + cell_begin_[c + 1]);
-            ++cells_hit;
           }
         }
         size_t j = 1;
@@ -153,12 +151,7 @@ class CellIndex {
         }
         if (j >= dims_) break;
       }
-      if (!s->candidates.empty()) {
-        if (cells_hit > 1) {
-          std::sort(s->candidates.begin(), s->candidates.end());
-        }
-        return;
-      }
+      if (!s->candidates.empty()) return;
     }
   }
 
@@ -213,8 +206,9 @@ struct LinkedRow {
   double predicted = 0.0;    ///< tie-set mean of the confidential column
 };
 
-/// The shared linkage core: fills one LinkedRow per original row. The
-/// confidential column may be empty (record-linkage mode).
+/// The one linkage pass every entry point folds its outcomes from: fills
+/// one LinkedRow per original row. The confidential column may be empty
+/// (record linkage only; `predicted` stays 0).
 void LinkRows(const LinkagePoints& points,
               const std::vector<double>& masked_conf,
               const LinkageConfig& config, ThreadPool* pool,
@@ -234,12 +228,13 @@ void LinkRows(const LinkagePoints& points,
   RunSharded(pool, points.rows, [&](size_t /*shard*/, size_t begin,
                                     size_t end) {
     CellIndex::Scratch scratch(points.dims);
+    TieBandScratch band;
     std::vector<size_t> ties;
     for (size_t i = begin; i < end; ++i) {
       const double* probe = points.probe(i);
       if (index) {
         index->Gather(probe, config.max_radius, &scratch);
-        NearestTies(points, probe, scratch.candidates, &ties);
+        NearestTiesInBand(points, probe, scratch.candidates, &band, &ties);
       } else {
         NearestTies(points, probe, all_rows, &ties);
       }
@@ -260,6 +255,12 @@ void LinkRows(const LinkagePoints& points,
   });
 }
 
+/// True when column `col` exists in both tables.
+bool InBoth(const DataTable& original, const DataTable& masked, size_t col) {
+  return col < original.num_columns() && col < masked.num_columns();
+}
+
+/// Every check RunRecordLinkageAttack makes before it reads a column.
 Status ValidateInputs(const DataTable& original, const DataTable& masked,
                       const std::vector<size_t>& qi_cols, size_t block_bins) {
   if (original.num_rows() != masked.num_rows()) {
@@ -278,6 +279,24 @@ Status ValidateInputs(const DataTable& original, const DataTable& masked,
     }
     cells *= block_bins;
   }
+  for (size_t col : qi_cols) {
+    if (!InBoth(original, masked, col)) {
+      return Status::InvalidArgument("quasi-identifier column out of range");
+    }
+  }
+  return Status::OK();
+}
+
+/// The checks RunAttributeDisclosureAttack adds to ValidateInputs, before
+/// it reads a column.
+Status ValidateDisclosure(const DataTable& original, const DataTable& masked,
+                          const AttributeDisclosureConfig& config) {
+  if (!InBoth(original, masked, config.confidential_col)) {
+    return Status::InvalidArgument("confidential column out of range");
+  }
+  if (!(config.window_percent >= 0.0 && config.window_percent <= 100.0)) {
+    return Status::InvalidArgument("window must be in [0, 100] percent");
+  }
   return Status::OK();
 }
 
@@ -287,25 +306,26 @@ std::vector<size_t> ResolveQiCols(const DataTable& original,
                                 : config.qi_cols;
 }
 
-}  // namespace
+/// The confidential column of both tables.
+struct ConfidentialColumns {
+  std::vector<double> truth;     ///< the original's: what success is scored on
+  std::vector<double> released;  ///< the release's: what a tie set averages
+};
 
-Result<AttackOutcome> RunRecordLinkageAttack(const DataTable& original,
+Result<ConfidentialColumns> ReadConfidential(const DataTable& original,
                                              const DataTable& masked,
-                                             const LinkageConfig& config,
-                                             const AttackContext& ctx) {
-  const std::vector<size_t> qi_cols = ResolveQiCols(original, config);
-  TRIPRIV_RETURN_IF_ERROR(
-      ValidateInputs(original, masked, qi_cols, config.block_bins));
-  TRIPRIV_ASSIGN_OR_RETURN(
-      const LinkagePoints points,
-      StandardizedLinkagePoints(original, masked, qi_cols));
+                                             size_t col) {
+  ConfidentialColumns conf;
+  TRIPRIV_ASSIGN_OR_RETURN(conf.truth, original.NumericColumn(col));
+  TRIPRIV_ASSIGN_OR_RETURN(conf.released, masked.NumericColumn(col));
+  return conf;
+}
 
-  std::vector<LinkedRow> rows;
-  LinkRows(points, {}, config, ctx.pool, &rows);
-
-  // Serial index-order merge — the accumulation order of sdc/risk.h
-  // DistanceLinkageAttack, so exact mode reproduces its expected_correct
-  // bitwise.
+/// Serial index-order merge — the accumulation order of sdc/risk.h
+/// DistanceLinkageAttack, so exact mode reproduces its expected_correct
+/// bitwise.
+AttackOutcome RecordLinkageOutcome(const std::vector<LinkedRow>& rows,
+                                   const LinkageConfig& config) {
   AttackOutcome outcome;
   outcome.attack = "record_linkage";
   outcome.dimension = Dimension::kRespondent;
@@ -324,29 +344,12 @@ Result<AttackOutcome> RunRecordLinkageAttack(const DataTable& original,
   outcome.note = config.block_bins == 0
                      ? "exact"
                      : "blocked bins=" + std::to_string(config.block_bins);
-  return FinishOutcome(std::move(outcome), ctx);
+  return outcome;
 }
 
-Result<AttackOutcome> RunAttributeDisclosureAttack(
-    const DataTable& original, const DataTable& masked,
-    const AttributeDisclosureConfig& config, const AttackContext& ctx) {
-  const std::vector<size_t> qi_cols = ResolveQiCols(original, config.linkage);
-  TRIPRIV_RETURN_IF_ERROR(ValidateInputs(original, masked, qi_cols,
-                                         config.linkage.block_bins));
-  if (config.window_percent < 0.0 || config.window_percent > 100.0) {
-    return Status::InvalidArgument("window must be in [0, 100] percent");
-  }
-  TRIPRIV_ASSIGN_OR_RETURN(
-      const LinkagePoints points,
-      StandardizedLinkagePoints(original, masked, qi_cols));
-  TRIPRIV_ASSIGN_OR_RETURN(auto true_conf,
-                           original.NumericColumn(config.confidential_col));
-  TRIPRIV_ASSIGN_OR_RETURN(auto masked_conf,
-                           masked.NumericColumn(config.confidential_col));
-
-  std::vector<LinkedRow> rows;
-  LinkRows(points, masked_conf, config.linkage, ctx.pool, &rows);
-
+AttackOutcome DisclosureOutcome(const std::vector<LinkedRow>& rows,
+                                const std::vector<double>& true_conf,
+                                double window_percent) {
   // Window in original units (risk.h IntervalDisclosureRate semantics).
   const double range = true_conf.empty()
                            ? 0.0
@@ -354,8 +357,7 @@ Result<AttackOutcome> RunAttributeDisclosureAttack(
                                                true_conf.end()) -
                                  *std::min_element(true_conf.begin(),
                                                    true_conf.end());
-  const double window =
-      config.window_percent / 100.0 * (range > 0.0 ? range : 1.0);
+  const double window = window_percent / 100.0 * (range > 0.0 ? range : 1.0);
 
   AttackOutcome outcome;
   outcome.attack = "attribute_disclosure";
@@ -375,8 +377,77 @@ Result<AttackOutcome> RunAttributeDisclosureAttack(
   outcome.records_recovered = outcome.successes;
   outcome.equivocation_bits = MeanCandidateBits(tie_counts);
   outcome.prior_bits = UniformBits(rows.size());
-  outcome.note = "window=" + FormatFixed(config.window_percent) + "%";
-  return FinishOutcome(std::move(outcome), ctx);
+  outcome.note = "window=" + FormatFixed(window_percent) + "%";
+  return outcome;
+}
+
+}  // namespace
+
+Result<AttackOutcome> RunRecordLinkageAttack(const DataTable& original,
+                                             const DataTable& masked,
+                                             const LinkageConfig& config,
+                                             const AttackContext& ctx) {
+  const std::vector<size_t> qi_cols = ResolveQiCols(original, config);
+  TRIPRIV_RETURN_IF_ERROR(
+      ValidateInputs(original, masked, qi_cols, config.block_bins));
+  TRIPRIV_ASSIGN_OR_RETURN(
+      const LinkagePoints points,
+      StandardizedLinkagePoints(original, masked, qi_cols));
+  std::vector<LinkedRow> rows;
+  LinkRows(points, {}, config, ctx.pool, &rows);
+  return FinishOutcome(RecordLinkageOutcome(rows, config), ctx);
+}
+
+Result<AttackOutcome> RunAttributeDisclosureAttack(
+    const DataTable& original, const DataTable& masked,
+    const AttributeDisclosureConfig& config, const AttackContext& ctx) {
+  const std::vector<size_t> qi_cols = ResolveQiCols(original, config.linkage);
+  TRIPRIV_RETURN_IF_ERROR(ValidateInputs(original, masked, qi_cols,
+                                         config.linkage.block_bins));
+  TRIPRIV_RETURN_IF_ERROR(ValidateDisclosure(original, masked, config));
+  TRIPRIV_ASSIGN_OR_RETURN(
+      const LinkagePoints points,
+      StandardizedLinkagePoints(original, masked, qi_cols));
+  TRIPRIV_ASSIGN_OR_RETURN(
+      const ConfidentialColumns conf,
+      ReadConfidential(original, masked, config.confidential_col));
+  std::vector<LinkedRow> rows;
+  LinkRows(points, conf.released, config.linkage, ctx.pool, &rows);
+  return FinishOutcome(
+      DisclosureOutcome(rows, conf.truth, config.window_percent), ctx);
+}
+
+Result<LinkageAttacks> RunLinkageAttacks(
+    const DataTable& original, const DataTable& masked,
+    const AttributeDisclosureConfig& config, const AttackContext& ctx) {
+  const std::vector<size_t> qi_cols = ResolveQiCols(original, config.linkage);
+  TRIPRIV_RETURN_IF_ERROR(ValidateInputs(original, masked, qi_cols,
+                                         config.linkage.block_bins));
+  TRIPRIV_ASSIGN_OR_RETURN(
+      const LinkagePoints points,
+      StandardizedLinkagePoints(original, masked, qi_cols));
+  // What RunAttributeDisclosureAttack would refuse once the record linkage
+  // had run: the linkage outcome is still published before that error.
+  Status disclosure = ValidateDisclosure(original, masked, config);
+  ConfidentialColumns conf;
+  if (disclosure.ok()) {
+    Result<ConfidentialColumns> read =
+        ReadConfidential(original, masked, config.confidential_col);
+    if (read.ok()) {
+      conf = std::move(read).value();
+    } else {
+      disclosure = read.status();
+    }
+  }
+  std::vector<LinkedRow> rows;
+  LinkRows(points, conf.released, config.linkage, ctx.pool, &rows);
+  LinkageAttacks out;
+  out.record_linkage =
+      FinishOutcome(RecordLinkageOutcome(rows, config.linkage), ctx);
+  TRIPRIV_RETURN_IF_ERROR(disclosure);
+  out.attribute_disclosure = FinishOutcome(
+      DisclosureOutcome(rows, conf.truth, config.window_percent), ctx);
+  return out;
 }
 
 }  // namespace attack

@@ -10,10 +10,10 @@
 //     the true row, with fractional 1/|tie set| credit for tied distances.
 //     Both modes run sdc/risk.h's nearest-neighbour core over
 //     LinkagePoints — both tables' QI columns in row-major buffers,
-//     standardized with the original's column moments — and NearestTies
-//     (the 1e-12 tie epsilon over candidates in ascending row order). In
-//     exact mode (block_bins = 0) every masked row is a candidate and the
-//     per-row credit accumulates in index order, exactly as sdc/risk.h
+//     standardized with the original's column moments — and its one 1e-12
+//     tie scan over candidates in ascending row order. In exact mode
+//     (block_bins = 0) every masked row is a candidate (NearestTies) and
+//     the per-row credit accumulates in index order, exactly as sdc/risk.h
 //     DistanceLinkageAttack does, so the two agree bitwise
 //     (LinkageReconciliationTest asserts it). In blocked mode
 //     (block_bins > 0) the masked rows are grouped by cell of a
@@ -22,20 +22,31 @@
 //     block_bins^|qi_cols| must fit a signed 64-bit word; larger grids are
 //     refused with kInvalidArgument). Each probe takes as candidates the
 //     rows of the first non-empty neighbourhood of its cell at Chebyshev
-//     radius 0, 1, ..., max_radius, clipped to the grid; past max_radius
-//     it is unlinkable. This scales the attack to 10^6 rows at slightly
-//     conservative (never inflated) success rates.
-//     tests/attack/linkage_reference_test.cc keeps the vector-of-vectors
-//     core this replaced, with an exact key, and requires equal outcomes.
+//     radius 0, 1, ..., max_radius, clipped to the grid, in cell order;
+//     past max_radius it is unlinkable. NearestTiesInBand sorts only the
+//     candidates in the exact tie band near the minimum, and returns the
+//     tie set the ascending scan over all of them would. This scales the
+//     attack to 10^6 rows at slightly conservative (never inflated)
+//     success rates. tests/attack/linkage_reference_test.cc keeps the
+//     vector-of-vectors core this replaced, with an exact key and a full
+//     candidate sort, and requires equal outcomes.
 //
 //   * AttributeDisclosureAttack goes one step further: after linking, the
 //     adversary reads the confidential attribute off the linked rows and
 //     wins when the tie-set average lands within a window of the truth —
 //     the interval-disclosure notion of risk.h lifted to linked records.
 //
-// Both attacks parallelize over original rows with per-index result slots,
-// per-shard gather scratch and a serial index-order merge, so outcomes are
-// byte-identical at any thread count.
+// Both attacks run on one private pass that fills, per original row, the
+// link credit, the tie-set size and the tie-set mean of the confidential
+// column. RunLinkageAttacks returns both outcomes from one such pass (the
+// census scoreboard's SDC and noise releases); the two single-attack calls
+// run the same pass for their own outcome. The pass parallelizes over
+// original rows with per-index result slots, per-shard scratch and a serial
+// index-order merge, so outcomes are byte-identical at any thread count.
+//
+// Every column index (each QI column, the confidential column) is checked
+// against both tables before any column is read; an index past either
+// table's width is refused with kInvalidArgument.
 
 #pragma once
 
@@ -81,7 +92,27 @@ struct AttributeDisclosureConfig {
 /// Links each original record, then predicts its confidential value from
 /// the tie set. Outcome: successes = expected rows whose confidential
 /// value is pinned within the window; equivocation = mean tie-set bits.
+/// Refuses, in order, what RunRecordLinkageAttack refuses before reading
+/// (misaligned tables, no QI columns, an oversized grid, a QI column out of
+/// range), a confidential column out of range, a window outside [0, 100]
+/// (NaN included), then the first non-numeric QI or confidential cell.
 Result<AttackOutcome> RunAttributeDisclosureAttack(
+    const DataTable& original, const DataTable& masked,
+    const AttributeDisclosureConfig& config, const AttackContext& ctx);
+
+/// Both respondent outcomes of one release.
+struct LinkageAttacks {
+  AttackOutcome record_linkage;
+  AttackOutcome attribute_disclosure;
+};
+
+/// RunRecordLinkageAttack(original, masked, config.linkage, ctx) followed
+/// by RunAttributeDisclosureAttack(original, masked, config, ctx), from one
+/// linkage pass: the same outcomes, published to ctx.metrics in the same
+/// order, and the first error the two calls would return in sequence (a
+/// refusal only the disclosure makes comes after the linkage outcome is
+/// published, as it would).
+Result<LinkageAttacks> RunLinkageAttacks(
     const DataTable& original, const DataTable& masked,
     const AttributeDisclosureConfig& config, const AttackContext& ctx);
 

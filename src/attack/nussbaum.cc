@@ -32,6 +32,12 @@ std::vector<double> SlidingExtreme(const std::vector<double>& values, size_t w,
   return out;
 }
 
+/// True when column `col` exists in both tables.
+bool InBoth(const DataTable& original, const DataTable& released,
+            size_t col) {
+  return col < original.num_columns() && col < released.num_columns();
+}
+
 double RangeOf(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
@@ -58,8 +64,13 @@ Result<AttackOutcome> RunMinMaxQueryAttack(const DataTable& original,
     return Status::InvalidArgument(
         "query-size restriction must be in [2, rows]");
   }
-  if (config.window_percent < 0.0 || config.window_percent > 100.0) {
+  if (!(config.window_percent >= 0.0 && config.window_percent <= 100.0)) {
     return Status::InvalidArgument("window must be in [0, 100] percent");
+  }
+  // The order column is read from the original only.
+  if (config.order_col >= original.num_columns() ||
+      !InBoth(original, released, config.target_col)) {
+    return Status::InvalidArgument("column index out of range");
   }
   TRIPRIV_ASSIGN_OR_RETURN(auto order_vals,
                            original.NumericColumn(config.order_col));
@@ -157,8 +168,11 @@ Result<AttackOutcome> RunBucketReconstructionAttack(
   if (bucket_of_row.size() != n) {
     return Status::InvalidArgument("bucket_of_row must cover every row");
   }
-  if (config.window_percent < 0.0 || config.window_percent > 100.0) {
+  if (!(config.window_percent >= 0.0 && config.window_percent <= 100.0)) {
     return Status::InvalidArgument("window must be in [0, 100] percent");
+  }
+  if (!InBoth(original, released, config.target_col)) {
+    return Status::InvalidArgument("column index out of range");
   }
   TRIPRIV_ASSIGN_OR_RETURN(auto truth,
                            original.NumericColumn(config.target_col));

@@ -19,6 +19,11 @@
 //     the published min/max verbatim, interior records the mean. On small
 //     buckets this recovers most values within a tight window.
 //
+// Both attacks refuse, with kInvalidArgument, a window_percent outside
+// [0, 100] (NaN included) and a column index past the width of a table it
+// is read from (order_col from the original, target_col from both) before
+// reading any column.
+//
 // Both attacks compare reconstructions against the ORIGINAL values, so
 // running them over a protected release (noise, rank swap, PRAM) measures
 // how much of the channel the protection actually closes. Oracles answer

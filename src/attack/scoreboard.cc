@@ -382,6 +382,12 @@ Result<Scoreboard> RunEmpiricalTable2(const DataTable& original,
   LinkageConfig link_config;
   link_config.qi_cols = qi_cols;
   link_config.block_bins = config.linkage_block_bins;
+  // The SDC and noise releases are each linked once for both respondent
+  // attacks (record linkage, then attribute disclosure).
+  AttributeDisclosureConfig disclosure;
+  disclosure.linkage = link_config;
+  disclosure.confidential_col = target_col;
+  disclosure.window_percent = config.disclosure_window_percent;
 
   Scoreboard board;
 
@@ -393,24 +399,16 @@ Result<Scoreboard> RunEmpiricalTable2(const DataTable& original,
       PartitionedMdav(original, config.sdc_k, qi_cols, actx.pool));
   {
     TRIPRIV_ASSIGN_OR_RETURN(
-        AttackOutcome linkage,
-        RunRecordLinkageAttack(original, sdc_release.table, link_config, actx));
-    AttributeDisclosureConfig disclosure;
-    disclosure.linkage = link_config;
-    disclosure.confidential_col = target_col;
-    disclosure.window_percent = config.disclosure_window_percent;
-    TRIPRIV_ASSIGN_OR_RETURN(
-        AttackOutcome attr,
-        RunAttributeDisclosureAttack(original, sdc_release.table, disclosure,
-                                     actx));
+        LinkageAttacks linked,
+        RunLinkageAttacks(original, sdc_release.table, disclosure, actx));
     TRIPRIV_ASSIGN_OR_RETURN(
         AttackOutcome recovery,
         RunDatasetRecoveryAttack(original, sdc_release.table,
                                  config.recovery_window_percent, actx));
     for (TechnologyClass t :
          {TechnologyClass::kSdc, TechnologyClass::kSdcPlusPir}) {
-      board.Add(t, linkage);
-      board.Add(t, attr);
+      board.Add(t, linked.record_linkage);
+      board.Add(t, linked.attribute_disclosure);
       board.Add(t, recovery);
     }
   }
@@ -429,16 +427,8 @@ Result<Scoreboard> RunEmpiricalTable2(const DataTable& original,
                                      config.rr_keep_probability,
                                      config.seed));
     TRIPRIV_ASSIGN_OR_RETURN(
-        AttackOutcome linkage,
-        RunRecordLinkageAttack(original, noise_release, link_config, actx));
-    AttributeDisclosureConfig disclosure;
-    disclosure.linkage = link_config;
-    disclosure.confidential_col = target_col;
-    disclosure.window_percent = config.disclosure_window_percent;
-    TRIPRIV_ASSIGN_OR_RETURN(
-        AttackOutcome attr,
-        RunAttributeDisclosureAttack(original, noise_release, disclosure,
-                                     actx));
+        LinkageAttacks linked,
+        RunLinkageAttacks(original, noise_release, disclosure, actx));
     MinMaxQueryConfig minmax;
     minmax.order_col = qi_cols[0];
     minmax.target_col = target_col;
@@ -454,8 +444,8 @@ Result<Scoreboard> RunEmpiricalTable2(const DataTable& original,
     for (TechnologyClass t :
          {TechnologyClass::kUseSpecificNonCryptoPpdm,
           TechnologyClass::kUseSpecificNonCryptoPpdmPlusPir}) {
-      board.Add(t, linkage);
-      board.Add(t, attr);
+      board.Add(t, linked.record_linkage);
+      board.Add(t, linked.attribute_disclosure);
       board.Add(t, differencing);
       board.Add(t, recovery);
     }

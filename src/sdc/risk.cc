@@ -1,8 +1,10 @@
 #include "sdc/risk.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "sdc/equivalence.h"
 #include "stats/descriptive.h"
@@ -48,26 +50,82 @@ Result<LinkagePoints> StandardizedLinkagePoints(
   return points;
 }
 
+namespace {
+
+double SquaredDistanceTo(const double* probe, const double* other,
+                         size_t dims) {
+  double dist = 0;
+  for (size_t c = 0; c < dims; ++c) {
+    const double diff = probe[c] - other[c];
+    dist += diff * diff;
+  }
+  return dist;
+}
+
+/// The one 1e-12 tie scan: walks `count` candidates in the given order,
+/// `candidate(k)` returning the k-th one's (row, squared distance).
+template <typename Candidate>
+void ScanTies(size_t count, Candidate candidate, std::vector<size_t>* ties) {
+  double best = std::numeric_limits<double>::infinity();
+  ties->clear();
+  for (size_t k = 0; k < count; ++k) {
+    const auto [row, dist] = candidate(k);
+    if (dist < best - 1e-12) {
+      best = dist;
+      ties->assign(1, row);
+    } else if (std::fabs(dist - best) <= 1e-12) {
+      ties->push_back(row);
+    }
+  }
+}
+
+}  // namespace
+
 void NearestTies(const LinkagePoints& points, const double* probe,
                  const std::vector<size_t>& candidates,
                  std::vector<size_t>* ties) {
-  const size_t d = points.dims;
-  double best = std::numeric_limits<double>::infinity();
-  ties->clear();
-  for (size_t j : candidates) {
-    const double* other = points.candidate(j);
-    double dist = 0;
-    for (size_t c = 0; c < d; ++c) {
-      const double diff = probe[c] - other[c];
-      dist += diff * diff;
-    }
-    if (dist < best - 1e-12) {
-      best = dist;
-      ties->assign(1, j);
-    } else if (std::fabs(dist - best) <= 1e-12) {
-      ties->push_back(j);
-    }
+  ScanTies(
+      candidates.size(),
+      [&](size_t k) {
+        const size_t j = candidates[k];
+        return std::pair<size_t, double>(
+            j, SquaredDistanceTo(probe, points.candidate(j), points.dims));
+      },
+      ties);
+}
+
+void NearestTiesInBand(const LinkagePoints& points, const double* probe,
+                       const std::vector<size_t>& candidates,
+                       TieBandScratch* scratch, std::vector<size_t>* ties) {
+  const size_t m = candidates.size();
+  std::vector<double>& dist = scratch->distance;
+  dist.resize(m);
+  double theta = std::numeric_limits<double>::infinity();
+  for (size_t k = 0; k < m; ++k) {
+    dist[k] = SquaredDistanceTo(probe, points.candidate(candidates[k]),
+                                points.dims);
+    theta = std::min(theta, dist[k]);  // skips NaN
   }
+  std::vector<std::pair<size_t, double>>& band = scratch->band;
+  // Collect the band under theta while finding the next larger distance;
+  // raise theta and collect again while that distance is near enough.
+  for (bool raised = true; raised;) {
+    band.clear();
+    bool above = false;
+    double next = std::numeric_limits<double>::infinity();
+    for (size_t k = 0; k < m; ++k) {
+      if (dist[k] <= theta) {
+        band.emplace_back(candidates[k], dist[k]);
+      } else if (dist[k] > theta) {
+        above = true;
+        next = std::min(next, dist[k]);
+      }
+    }
+    raised = above && next - theta <= 4e-12 + 0x1p-50 * next;
+    if (raised) theta = next;
+  }
+  std::sort(band.begin(), band.end());
+  ScanTies(band.size(), [&](size_t k) { return band[k]; }, ties);
 }
 
 Result<LinkageResult> DistanceLinkageAttack(const DataTable& original,
@@ -79,6 +137,11 @@ Result<LinkageResult> DistanceLinkageAttack(const DataTable& original,
   }
   if (qi_cols.empty()) {
     return Status::InvalidArgument("no quasi-identifier columns given");
+  }
+  for (size_t col : qi_cols) {
+    if (col >= original.num_columns() || col >= masked.num_columns()) {
+      return Status::InvalidArgument("quasi-identifier column out of range");
+    }
   }
   TRIPRIV_ASSIGN_OR_RETURN(
       const LinkagePoints points,
@@ -133,8 +196,11 @@ Result<double> IntervalDisclosureRate(const DataTable& original,
   if (original.num_rows() != masked.num_rows()) {
     return Status::InvalidArgument("tables must be row-aligned");
   }
-  if (window_percent < 0.0 || window_percent > 100.0) {
+  if (!(window_percent >= 0.0 && window_percent <= 100.0)) {
     return Status::InvalidArgument("window must be in [0, 100] percent");
+  }
+  if (col >= original.num_columns() || col >= masked.num_columns()) {
+    return Status::InvalidArgument("column index out of range");
   }
   if (original.num_rows() == 0) return 0.0;
   TRIPRIV_ASSIGN_OR_RETURN(auto orig, original.NumericColumn(col));

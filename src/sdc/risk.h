@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "table/data_table.h"
@@ -66,11 +67,34 @@ Result<LinkagePoints> StandardizedLinkagePoints(
 /// must be ascending, so the scan order — and with it the floating-point
 /// trajectory of the running minimum — does not depend on how the
 /// candidates were gathered. `ties` is cleared first and keeps its
-/// capacity. The linkage core shared by DistanceLinkageAttack and
+/// capacity. The exact-mode core of DistanceLinkageAttack and
 /// src/attack/linkage.h.
 void NearestTies(const LinkagePoints& points, const double* probe,
                  const std::vector<size_t>& candidates,
                  std::vector<size_t>* ties);
+
+/// What NearestTiesInBand reuses across the probes of one shard.
+struct TieBandScratch {
+  std::vector<double> distance;  ///< per candidate, in the caller's order
+  std::vector<std::pair<size_t, double>> band;  ///< (row, squared distance)
+};
+
+/// NearestTies over `candidates` in any order: the tie set NearestTies
+/// returns over the same indices sorted ascending, bit for bit, without
+/// sorting them. `candidates` must be distinct. Each squared distance is
+/// computed once into `scratch`. The band threshold theta starts at the
+/// least non-NaN distance and is raised to the next larger distance u
+/// while u - theta <= 4e-12 + 2^-50 * u; only the band (distance <= theta)
+/// is sorted by row and scanned. The band is exact: the first band row
+/// the ascending scan meets beats any running minimum above theta by more
+/// than 1e-12, so it resets the scan as it does the band's, and once the
+/// minimum is <= theta every row above theta misses both 1e-12 tests (the
+/// gap above theta exceeds 4e-12 plus rounding). A fixed band m + c is not
+/// exact: a chain of rows each within 1e-12 of the next can reach past it.
+/// The blocked-mode core of src/attack/linkage.h.
+void NearestTiesInBand(const LinkagePoints& points, const double* probe,
+                       const std::vector<size_t>& candidates,
+                       TieBandScratch* scratch, std::vector<size_t>* ties);
 
 /// Distance-based record linkage. `original` and `masked` must have the
 /// same row count with row i of both referring to the same respondent. For
@@ -79,6 +103,8 @@ void NearestTies(const LinkagePoints& points, const double* probe,
 /// to the true row. Ties resolve to the lowest row (conservative for the
 /// attacker when groups share a centroid: we instead credit the attacker
 /// with probability 1/|tie set| when the true row is among the ties).
+/// Misaligned tables, no `qi_cols` and a column past either table's width
+/// are refused with kInvalidArgument before any column is read.
 Result<LinkageResult> DistanceLinkageAttack(const DataTable& original,
                                             const DataTable& masked,
                                             const std::vector<size_t>& qi_cols);
@@ -101,7 +127,9 @@ double ExpectedReidentificationRate(const DataTable& table);
 /// Fraction of cells in `col` whose masked value lies within
 /// +-(window_percent/100)*range(original column) of the original value —
 /// interval disclosure (a small value means the mask genuinely hides
-/// magnitudes; 1.0 means values are essentially published).
+/// magnitudes; 1.0 means values are essentially published). Refuses
+/// misaligned tables, a window outside [0, 100] (NaN included) and a `col`
+/// past either table's width with kInvalidArgument, in that order.
 Result<double> IntervalDisclosureRate(const DataTable& original,
                                       const DataTable& masked, size_t col,
                                       double window_percent);

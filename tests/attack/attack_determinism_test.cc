@@ -18,6 +18,7 @@
 #include "sdc/microaggregation.h"
 #include "service/traffic/simulator.h"
 #include "table/datasets.h"
+#include "util/checksum.h"
 #include "util/thread_pool.h"
 
 namespace tripriv {
@@ -187,6 +188,30 @@ TEST(AttackDeterminismTest, EmpiricalTable2RendersByteIdentical) {
             << " threads";
       }
     }
+  }
+}
+
+TEST(AttackDeterminismTest, CensusBoardIsPinned) {
+  // The default census board at 2 x 10^4 rows: blocked linkage at 24 bins
+  // over partitioned MDAV, noise and Mondrian releases. The constants were
+  // captured from the linkage core that sorted every probe's gathered
+  // candidates and linked the SDC and noise releases twice; any change to a
+  // tie set, a credit or a rendered figure moves them.
+  EmpiricalTable2Config config;
+  config.rows = 20000;
+  for (size_t threads : {size_t{0}, size_t{2}}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    AttackContext ctx;
+    ctx.pool = pool.get();
+    auto board = RunEmpiricalTable2(config, ctx);
+    ASSERT_TRUE(board.ok()) << board.status().ToString();
+    const std::string json = board->RenderJson();
+    const std::string text = board->RenderText();
+    EXPECT_EQ(Fnv1a64(json.data(), json.size()), 0x5bc1fbaef0343e46ull)
+        << "JSON at " << threads << " threads";
+    EXPECT_EQ(Fnv1a64(text.data(), text.size()), 0x212877ce899c59d7ull)
+        << "text at " << threads << " threads";
   }
 }
 

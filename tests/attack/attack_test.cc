@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <string>
 
 #include "attack/equivocation.h"
 #include "attack/fingerprint.h"
@@ -114,6 +116,79 @@ TEST(LinkageTest, AttributeDisclosureWindowSemantics) {
   EXPECT_DOUBLE_EQ(outcome->success_rate(), 1.0);
 }
 
+// A NaN window passed the old `w < 0 || w > 100` check and then held no
+// row, so a verbatim release scored protection 1.000.
+TEST(LinkageTest, NanDisclosureWindowIsRefused) {
+  const DataTable original = MakeCensusScale(2000, 5);
+  AttributeDisclosureConfig config;
+  config.linkage.qi_cols = NumericQis(original);
+  config.linkage.block_bins = 24;
+  config.confidential_col = *original.schema().IndexOf("income");
+  AttackContext ctx;
+  auto verbatim = RunAttributeDisclosureAttack(original, original, config, ctx);
+  ASSERT_TRUE(verbatim.ok());
+  EXPECT_DOUBLE_EQ(verbatim->success_rate(), 1.0);
+  config.window_percent = std::nan("");
+  auto refused = RunAttributeDisclosureAttack(original, original, config, ctx);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunLinkageAttacks(original, original, config, ctx).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A column index past either table's width used to reach NumericColumn's
+// CHECK and abort the process.
+TEST(LinkageTest, OutOfRangeColumnsAreRefused) {
+  const DataTable original = MakeCensusScale(200, 5);
+  const std::vector<size_t> qis = NumericQis(original);
+  const size_t last = original.num_columns() - 1;
+  std::vector<size_t> kept(last);
+  std::iota(kept.begin(), kept.end(), size_t{0});
+  const DataTable narrower = original.Project(kept);  // last column gone
+  // The schema's QIs (age .. region) resolve from the original; this
+  // release lacks region.
+  const DataTable first_five = original.Project({0, 1, 2, 3, 4});
+  std::vector<size_t> with_last = qis;
+  with_last.push_back(last);
+  struct Case {
+    const DataTable* masked;
+    std::vector<size_t> qi_cols;
+    size_t conf;
+    bool bad_qi;  ///< the record linkage alone refuses it too
+    const char* where;
+  };
+  const std::vector<Case> cases = {
+      {&original, {qis[0], 99}, qis[0], true, "QI 99"},
+      {&narrower, with_last, qis[0], true, "QI past the release"},
+      {&first_five, {}, qis[0], true, "schema QIs past the release"},
+      {&original, qis, 42, false, "confidential 42"},
+      {&narrower, qis, last, false, "confidential past the release"},
+  };
+  AttackContext ctx;
+  for (const Case& c : cases) {
+    AttributeDisclosureConfig config;
+    config.linkage.qi_cols = c.qi_cols;
+    config.linkage.block_bins = 24;
+    config.confidential_col = c.conf;
+    if (c.bad_qi) {
+      EXPECT_EQ(RunRecordLinkageAttack(original, *c.masked, config.linkage,
+                                       ctx)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << c.where;
+    }
+    EXPECT_EQ(RunAttributeDisclosureAttack(original, *c.masked, config, ctx)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << c.where;
+    EXPECT_EQ(
+        RunLinkageAttacks(original, *c.masked, config, ctx).status().code(),
+        StatusCode::kInvalidArgument)
+        << c.where;
+  }
+}
+
 // --- Nussbaum-Segal ------------------------------------------------------
 
 TEST(NussbaumTest, MinMaxDifferencingRecoversVerbatimRelease) {
@@ -169,6 +244,55 @@ TEST(NussbaumTest, BucketReconstructionOnGroupedRelease) {
   // at least 2 rows per bucket / 100.
   EXPECT_GE(outcome->success_rate(), 8.0 / 400.0);
   EXPECT_EQ(outcome->records_total, original.num_rows());
+}
+
+TEST(NussbaumTest, NanWindowAndOutOfRangeColumnsAreRefused) {
+  const DataTable original = MakeCensusScale(300, 9);
+  const size_t income = *original.schema().IndexOf("income");
+  std::vector<size_t> kept(income);
+  std::iota(kept.begin(), kept.end(), size_t{0});
+  const DataTable no_income = original.Project(kept);  // income onward gone
+  AttackContext ctx;
+  auto minmax_code = [&](const DataTable& released,
+                         const MinMaxQueryConfig& config) {
+    return RunMinMaxQueryAttack(original, released, config, ctx)
+        .status()
+        .code();
+  };
+  MinMaxQueryConfig minmax;
+  minmax.order_col = NumericQis(original)[0];
+  minmax.target_col = income;
+  ASSERT_EQ(minmax_code(original, minmax), StatusCode::kOk);
+  MinMaxQueryConfig bad = minmax;
+  bad.window_percent = std::nan("");
+  EXPECT_EQ(minmax_code(original, bad), StatusCode::kInvalidArgument);
+  bad = minmax;
+  bad.order_col = 99;
+  EXPECT_EQ(minmax_code(original, bad), StatusCode::kInvalidArgument);
+  bad = minmax;
+  bad.target_col = 99;
+  EXPECT_EQ(minmax_code(original, bad), StatusCode::kInvalidArgument);
+  EXPECT_EQ(minmax_code(no_income, minmax), StatusCode::kInvalidArgument);
+
+  std::vector<size_t> bucket_of_row(original.num_rows());
+  for (size_t r = 0; r < bucket_of_row.size(); ++r) bucket_of_row[r] = r / 10;
+  auto bucket_code = [&](const DataTable& released,
+                         const BucketReconstructionConfig& config) {
+    return RunBucketReconstructionAttack(original, released, bucket_of_row,
+                                         config, ctx)
+        .status()
+        .code();
+  };
+  BucketReconstructionConfig bucket;
+  bucket.target_col = income;
+  ASSERT_EQ(bucket_code(original, bucket), StatusCode::kOk);
+  BucketReconstructionConfig bad_bucket = bucket;
+  bad_bucket.window_percent = std::nan("");
+  EXPECT_EQ(bucket_code(original, bad_bucket), StatusCode::kInvalidArgument);
+  bad_bucket = bucket;
+  bad_bucket.target_col = 99;
+  EXPECT_EQ(bucket_code(original, bad_bucket), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bucket_code(no_income, bucket), StatusCode::kInvalidArgument);
 }
 
 // --- fingerprinting ------------------------------------------------------

@@ -3,13 +3,20 @@
 // RunRecordLinkageAttack, RunAttributeDisclosureAttack and
 // DistanceLinkageAttack read both tables into row-major standardized
 // buffers and, in blocked mode, gather candidates from a CSR cell index
-// under an exact cell key. The reference kept here is the vector-of-vectors
-// core that preceded them (StandardizeJointly, NearestTies, MaskedGrid and
-// LinkRows), changed in one place only: the grid keys a cell by its exact
-// bin tuple, where the old FNV-1a fold of the bins aliased out-of-range
-// cells near a border onto occupied in-range cells. Every outcome field,
-// the rendered JSON, and the code and message of every refusal must match
-// the reference exactly, at 0/1/2/8 threads.
+// under an exact cell key and scan only the tie band of each probe's
+// candidates (NearestTiesInBand). The reference kept here is the
+// vector-of-vectors core that preceded them (StandardizeJointly,
+// NearestTies, MaskedGrid and LinkRows, which sorted every probe's
+// candidates), changed in one place only: the grid keys a cell by its
+// exact bin tuple, where the old FNV-1a fold of the bins aliased
+// out-of-range cells near a border onto occupied in-range cells. Every
+// outcome field, the rendered JSON, and the code and message of every
+// refusal must match the reference exactly, at 0/1/2/8 threads.
+//
+// RunLinkageAttacks, the one-pass call, must equal the two standalone
+// calls run in sequence: outcomes, JSON, the first refusal and an attached
+// metrics export. The band itself is checked against the ascending scan
+// over the sorted candidates on lattices of near-ties.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +32,9 @@
 
 #include "attack/equivocation.h"
 #include "attack/linkage.h"
+#include "obs/export.h"
+#include "obs/instruments.h"
+#include "obs/metrics.h"
 #include "sdc/microaggregation.h"
 #include "sdc/mondrian.h"
 #include "sdc/noise.h"
@@ -382,8 +392,59 @@ std::string Threads(const ThreadPool* pool) {
          " threads";
 }
 
-/// Runs all three linkages on (original, masked) against the reference at
-/// every thread count. DistanceLinkageAttack runs in exact mode only.
+/// An attack-metrics bundle on its own registry.
+struct AttachedMetrics {
+  AttachedMetrics() : bundle(*obs::AttackMetrics::Create(&registry)) {}
+  std::string Export() const {
+    return obs::ToPrometheusText(registry.Snapshot());
+  }
+  obs::MetricsRegistry registry;
+  obs::AttackMetrics bundle;
+};
+
+/// RunLinkageAttacks against RunRecordLinkageAttack followed by
+/// RunAttributeDisclosureAttack: the same outcomes, the first refusal of
+/// the sequence, and the same metrics export (every input the linkage
+/// refuses, the disclosure refuses too, so it publishes nothing after a
+/// linkage refusal). The standalone results are returned for comparison
+/// with the reference.
+void ExpectOnePassMatchesTwoCalls(const DataTable& original,
+                                  const DataTable& masked,
+                                  const AttributeDisclosureConfig& disclosure,
+                                  ThreadPool* pool, const std::string& where,
+                                  Result<AttackOutcome>* link,
+                                  Result<AttackOutcome>* disc) {
+  AttachedMetrics two_calls;
+  AttackContext ctx;
+  ctx.pool = pool;
+  ctx.metrics = &two_calls.bundle;
+  *link = RunRecordLinkageAttack(original, masked, disclosure.linkage, ctx);
+  *disc = RunAttributeDisclosureAttack(original, masked, disclosure, ctx);
+  if (!link->ok()) {
+    ASSERT_FALSE(disc->ok()) << where;
+  }
+
+  AttachedMetrics one_pass;
+  ctx.metrics = &one_pass.bundle;
+  const Result<LinkageAttacks> both =
+      RunLinkageAttacks(original, masked, disclosure, ctx);
+  const Status& first_refusal = !link->ok() ? link->status() : disc->status();
+  if (!first_refusal.ok()) {
+    ASSERT_FALSE(both.ok()) << where;
+    ExpectSameStatus(both.status(), first_refusal, where + " one pass");
+  } else {
+    ASSERT_TRUE(both.ok()) << where << ": " << both.status().ToString();
+    ExpectSameOutcome(both->record_linkage, *link,
+                      where + " one pass record linkage");
+    ExpectSameOutcome(both->attribute_disclosure, *disc,
+                      where + " one pass attribute disclosure");
+  }
+  EXPECT_EQ(one_pass.Export(), two_calls.Export()) << where;
+}
+
+/// Runs all three linkages and the one-pass call on (original, masked)
+/// against the reference at every thread count. DistanceLinkageAttack runs
+/// in exact mode only.
 void ExpectMatchesReference(const DataTable& original, const DataTable& masked,
                             const LinkageConfig& linkage, size_t conf_col,
                             double window_percent, const ThreadCounts& threads,
@@ -397,14 +458,13 @@ void ExpectMatchesReference(const DataTable& original, const DataTable& masked,
   const Result<AttackOutcome> want_disc =
       RefAttributeDisclosure(original, masked, disclosure);
   for (ThreadPool* pool : threads.pools()) {
-    AttackContext ctx;
-    ctx.pool = pool;
     const std::string at = where + " @ " + Threads(pool);
-    ExpectSameOutcome(RunRecordLinkageAttack(original, masked, linkage, ctx),
-                      want_link, at + " record linkage");
-    ExpectSameOutcome(
-        RunAttributeDisclosureAttack(original, masked, disclosure, ctx),
-        want_disc, at + " attribute disclosure");
+    Result<AttackOutcome> link = Status::Internal("not run");
+    Result<AttackOutcome> disc = Status::Internal("not run");
+    ExpectOnePassMatchesTwoCalls(original, masked, disclosure, pool, at,
+                                 &link, &disc);
+    ExpectSameOutcome(link, want_link, at + " record linkage");
+    ExpectSameOutcome(disc, want_disc, at + " attribute disclosure");
   }
   if (linkage.block_bins == 0) {
     const std::vector<size_t> qis = RefQiCols(original, linkage);
@@ -869,6 +929,288 @@ TEST(LinkageReferenceTest, GridTooLargeForTheCellKeyIsRefused) {
   fits.max_radius = 1;
   ExpectMatchesReference(two, MakeRelease(two, Release::kNoise, {0, 1}, &rng),
                          fits, 2, 5.0, ThreadCounts(), "2^62 cells");
+}
+
+// Every input of RunLinkageAttacks made bad in turn, then two at once:
+// the one pass refuses what the two calls would refuse first, and
+// publishes the linkage outcome before a refusal only the disclosure
+// makes. Out-of-range columns are refused before any column is read.
+TEST(LinkageReferenceTest, OnePassRefusesWhatTheSequenceRefuses) {
+  Rng rng(41);
+  const DataTable original = RandomTable(&rng, 30, 3);  // q0 q1 q2 conf
+  const DataTable longer = RandomTable(&rng, 31, 3);
+  const DataTable narrow = original.Project({0, 1, 2});  // no conf column
+  const DataTable qis_only = original.Project({0, 1});   // q2 gone too
+  const DataTable bare = original.Project({3});  // no quasi-identifier
+  std::vector<Attribute> attrs = original.schema().attributes();
+  attrs[1] = {"q1", AttributeType::kCategorical,
+              AttributeRole::kQuasiIdentifier};
+  attrs[3] = {"conf", AttributeType::kCategorical,
+              AttributeRole::kConfidential};
+  DataTable labels((Schema(attrs)));
+  for (size_t r = 0; r < original.num_rows(); ++r) {
+    TRIPRIV_CHECK(labels
+                      .AppendRow({original.at(r, 0), Value("x"),
+                                  original.at(r, 2), Value("y")})
+                      .ok());
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  struct Case {
+    const char* name;
+    const DataTable* original;
+    const DataTable* masked;
+    std::vector<size_t> qis;
+    size_t block_bins;
+    size_t conf_col;
+    double window;
+  };
+  const std::vector<size_t> all = {0, 1, 2};
+  const std::vector<Case> cases = {
+      {"valid", &original, &original, all, 7, 3, 5.0},
+      {"misaligned", &original, &longer, all, 7, 3, 5.0},
+      {"no QIs", &bare, &bare, {}, 0, 0, 5.0},
+      {"grid overflow", &original, &original, all, size_t{1} << 22, 3, 5.0},
+      {"QI past both widths", &original, &original, {0, 99}, 7, 3, 5.0},
+      {"QI past the release", &original, &qis_only, all, 7, 3, 5.0},
+      {"schema QIs past the release", &original, &qis_only, {}, 0, 3, 5.0},
+      {"non-numeric QI (original)", &labels, &original, all, 7, 0, 5.0},
+      {"non-numeric QI (release)", &original, &labels, all, 0, 0, 5.0},
+      {"confidential past both widths", &original, &original, all, 7, 42,
+       5.0},
+      {"confidential past the release", &original, &narrow, all, 7, 3, 5.0},
+      {"NaN window", &original, &original, all, 7, 3, nan},
+      {"negative window", &original, &original, all, 0, 3, -1.0},
+      {"window over 100", &original, &original, all, 7, 3, 100.5},
+      {"non-numeric confidential (original)", &labels, &original, {0, 2}, 7,
+       3, 5.0},
+      {"non-numeric confidential (release)", &original, &labels, {0, 2}, 0,
+       3, 5.0},
+      {"NaN window and non-numeric QI", &original, &labels, all, 7, 3, nan},
+      {"NaN window and confidential past both", &original, &original, all, 7,
+       42, nan},
+      {"QI and confidential past both", &original, &original, {99}, 7, 42,
+       5.0},
+  };
+  const ThreadCounts threads;
+  for (const Case& c : cases) {
+    AttributeDisclosureConfig disclosure;
+    disclosure.linkage.qi_cols = c.qis;
+    disclosure.linkage.block_bins = c.block_bins;
+    disclosure.confidential_col = c.conf_col;
+    disclosure.window_percent = c.window;
+    for (ThreadPool* pool : threads.pools()) {
+      Result<AttackOutcome> link = Status::Internal("not run");
+      Result<AttackOutcome> disc = Status::Internal("not run");
+      ExpectOnePassMatchesTwoCalls(*c.original, *c.masked, disclosure, pool,
+                                   std::string(c.name) + " @ " +
+                                       Threads(pool),
+                                   &link, &disc);
+      EXPECT_EQ(disc.ok(), std::string(c.name) == "valid") << c.name;
+    }
+  }
+}
+
+// --- The tie band -------------------------------------------------------
+
+/// One lattice step: coordinates are integer multiples of 2^-20, so every
+/// squared distance from the origin below 2^12 is an exact multiple of
+/// 2^-40 (about 0.91e-12), and neighbours on a chain of squared norms
+/// 0, 1, 2, ... all sit within the 1e-12 tie epsilon of each other.
+constexpr double kStep = 0x1p-20;
+
+/// LinkagePoints in 4 dimensions with every probe at the origin and
+/// `released[j]` (already scaled) as candidate row j.
+LinkagePoints LatticePoints(const std::vector<std::vector<double>>& released) {
+  LinkagePoints points;
+  points.dims = 4;
+  points.rows = released.size();
+  points.external.assign(points.rows * points.dims, 0.0);
+  for (const std::vector<double>& x : released) {
+    TRIPRIV_CHECK(x.size() == 4);
+    points.released.insert(points.released.end(), x.begin(), x.end());
+  }
+  return points;
+}
+
+/// A lattice point whose squared norm is `units` * 2^-40 (Lagrange: every
+/// integer is a sum of four squares; found by search for small `units`).
+std::vector<double> PointAtNorm(int64_t units) {
+  for (int64_t a = 0; a * a <= units; ++a) {
+    for (int64_t b = 0; a * a + b * b <= units; ++b) {
+      for (int64_t c = 0; a * a + b * b + c * c <= units; ++c) {
+        const int64_t rest = units - a * a - b * b - c * c;
+        const int64_t d = static_cast<int64_t>(std::llround(std::sqrt(
+            static_cast<double>(rest))));
+        if (d * d == rest) {
+          return {a * kStep, b * kStep, c * kStep, d * kStep};
+        }
+      }
+    }
+  }
+  TRIPRIV_CHECK(false) << "no four-square split of " << units;
+  return {};
+}
+
+/// NearestTiesInBand over `order` against the ascending scan over the
+/// sorted full list (the reference's RefNearestTies).
+void ExpectBandMatchesSortedScan(const LinkagePoints& points,
+                                 const std::vector<size_t>& order,
+                                 TieBandScratch* scratch,
+                                 const std::string& where) {
+  Matrix rel(points.rows, std::vector<double>(points.dims));
+  for (size_t j = 0; j < points.rows; ++j) {
+    for (size_t c = 0; c < points.dims; ++c) {
+      rel[j][c] = points.candidate(j)[c];
+    }
+  }
+  std::vector<size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<size_t> want = RefNearestTies(
+      std::vector<double>(points.probe(0), points.probe(0) + points.dims),
+      rel, sorted);
+  std::vector<size_t> got = {12345};  // cleared by the call
+  NearestTiesInBand(points, points.probe(0), order, scratch, &got);
+  EXPECT_EQ(got, want) << where;
+}
+
+/// Every permutation of rows 0..n-1 as the gather order.
+void ExpectEveryOrderMatches(const std::vector<std::vector<double>>& released,
+                             const std::string& where) {
+  const LinkagePoints points = LatticePoints(released);
+  std::vector<size_t> order(points.rows);
+  std::iota(order.begin(), order.end(), size_t{0});
+  TieBandScratch scratch;
+  do {
+    ExpectBandMatchesSortedScan(points, order, &scratch, where);
+    if (::testing::Test::HasFailure()) return;
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+std::vector<std::vector<double>> AtNorms(const std::vector<int64_t>& units) {
+  std::vector<std::vector<double>> out;
+  for (int64_t u : units) out.push_back(PointAtNorm(u));
+  return out;
+}
+
+TEST(TieBandTest, ChainOfNearTiesMatchesTheAscendingScan) {
+  // Squared distances 4, 3, 2, 1, 0 (units of 2^-40) on rows 0-4: each row
+  // is within 1e-12 of the previous one, so the ascending scan first ties
+  // rows 0 and 1, restarts at row 2, ties row 3, and ends with {4} once row
+  // 4 beats row 2 by more than 1e-12. A band of the minimum plus 3e-12
+  // drops row 0 and ends with {3, 4}.
+  const auto released = AtNorms({4, 3, 2, 1, 0});
+  const LinkagePoints points = LatticePoints(released);
+  std::vector<size_t> ties;
+  NearestTies(points, points.probe(0), {0, 1, 2, 3, 4}, &ties);
+  EXPECT_EQ(ties, std::vector<size_t>({4}));
+  ExpectEveryOrderMatches(released, "chain 4..0");
+  ExpectEveryOrderMatches(AtNorms({0, 1, 2, 3, 4}), "chain 0..4");
+  ExpectEveryOrderMatches(AtNorms({2, 0, 4, 1, 3, 6, 5}), "chain mixed");
+  ExpectEveryOrderMatches(AtNorms({9, 8, 7, 5, 4, 3}), "chain from 3");
+  ExpectEveryOrderMatches(AtNorms({3, 3, 2, 2, 8, 1, 1}), "chain pairs");
+}
+
+TEST(TieBandTest, DuplicatesAndGapsMatchTheAscendingScan) {
+  ExpectEveryOrderMatches(AtNorms({5, 5, 5, 5, 5}), "five duplicates");
+  ExpectEveryOrderMatches(AtNorms({7, 2, 7, 2, 30, 2}), "duplicates + gap");
+  ExpectEveryOrderMatches(AtNorms({40, 6, 50, 6, 7}), "duplicate pair");
+  ExpectEveryOrderMatches(AtNorms({100, 104, 108, 112}), "no near ties");
+  ExpectEveryOrderMatches(AtNorms({0, 0, 5, 5, 1}), "zero duplicates");
+  ExpectEveryOrderMatches(AtNorms({17}), "one candidate");
+  // No candidates at all.
+  const LinkagePoints points = LatticePoints(AtNorms({1}));
+  TieBandScratch scratch;
+  std::vector<size_t> ties = {1};
+  NearestTiesInBand(points, points.probe(0), {}, &scratch, &ties);
+  EXPECT_TRUE(ties.empty());
+}
+
+TEST(TieBandTest, NanAndInfiniteCoordinatesMatchTheAscendingScan) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> at_nan = {nan, 0.0, 0.0, 0.0};
+  const std::vector<double> at_inf = {inf, 0.0, 0.0, 0.0};
+  const std::vector<double> at_minus_inf = {0.0, -inf, kStep, 0.0};
+  const std::vector<double> two_inf = {inf, -inf, 0.0, 0.0};
+  auto with = [](std::vector<std::vector<double>> rows,
+                 const std::vector<std::vector<double>>& extra) {
+    rows.insert(rows.end(), extra.begin(), extra.end());
+    return rows;
+  };
+  ExpectEveryOrderMatches({at_nan, at_nan, at_nan}, "all NaN");
+  ExpectEveryOrderMatches({at_inf, at_minus_inf, two_inf}, "all infinite");
+  ExpectEveryOrderMatches({at_nan, at_inf, at_nan, two_inf}, "NaN + inf");
+  ExpectEveryOrderMatches(with(AtNorms({3, 2, 1}), {at_nan, at_inf}),
+                          "chain + NaN + inf");
+  ExpectEveryOrderMatches(with(AtNorms({6, 6}), {at_minus_inf, at_nan}),
+                          "pair + -inf + NaN");
+  ExpectEveryOrderMatches(
+      with(AtNorms({4, 3, 2}), {at_nan, at_nan, at_inf, at_minus_inf}),
+      "chain + two NaN + two inf");
+}
+
+TEST(TieBandTest, LargeOffsetsWhereOneUlpExceedsTheEpsilon) {
+  // Candidates near 10^6 from a probe at the origin: squared distances near
+  // 10^12, whose ulp (2^-13) is far above 1e-12, so ties are exact equals
+  // after rounding and a run of distances one ulp apart chains through the
+  // band's relative term (2^-50 * u, about 7 ulps here).
+  Rng rng(17);
+  auto offset_point = [&](int64_t spread) {
+    return std::vector<double>{
+        1e6 + static_cast<double>(rng.UniformInt(0, 2)) * kStep,
+        static_cast<double>(rng.UniformInt(0, spread)) * kStep,
+        static_cast<double>(rng.UniformInt(0, spread)) * kStep,
+        static_cast<double>(rng.UniformInt(0, spread)) * kStep};
+  };
+  for (int64_t spread : {int64_t{0}, int64_t{3}, int64_t{4000},
+                         int64_t{20000}, int64_t{60000}}) {
+    for (size_t trial = 0; trial < 20; ++trial) {
+      std::vector<std::vector<double>> released;
+      for (size_t j = 0; j < 6; ++j) released.push_back(offset_point(spread));
+      ExpectEveryOrderMatches(released, "offset 1e6, spread " +
+                                            std::to_string(spread));
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(TieBandTest, RandomLatticesMatchTheAscendingScanInShuffledOrder) {
+  // Large candidate sets on small lattices (dense near-ties and exact
+  // duplicates), with the odd NaN, infinite or far-offset candidate, in
+  // random gather orders.
+  Rng rng(23);
+  TieBandScratch scratch;
+  for (size_t trial = 0; trial < 300; ++trial) {
+    const size_t m = 1 + rng.UniformU64(200);
+    const int64_t top = 1 + static_cast<int64_t>(rng.UniformU64(6));
+    std::vector<std::vector<double>> released;
+    for (size_t j = 0; j < m; ++j) {
+      std::vector<double> x(4);
+      for (double& v : x) {
+        v = static_cast<double>(rng.UniformInt(0, top)) * kStep;
+      }
+      const uint64_t odd = rng.UniformU64(40);
+      if (odd == 0) x[rng.UniformU64(4)] = std::nan("");
+      if (odd == 1) x[rng.UniformU64(4)] = -HUGE_VAL;
+      if (odd == 2) x[0] += 1e6;
+      released.push_back(std::move(x));
+    }
+    const LinkagePoints points = LatticePoints(released);
+    std::vector<size_t> order(m);
+    std::iota(order.begin(), order.end(), size_t{0});
+    for (size_t shuffle = 0; shuffle < 8; ++shuffle) {
+      rng.Shuffle(&order);
+      // A strict subset too: blocked gathers never hold every row.
+      const size_t keep = 1 + rng.UniformU64(m);
+      const std::vector<size_t> subset(order.begin(), order.begin() + keep);
+      ExpectBandMatchesSortedScan(points, order, &scratch,
+                                  "random lattice " + std::to_string(trial));
+      ExpectBandMatchesSortedScan(points, subset, &scratch,
+                                  "random subset " + std::to_string(trial));
+      if (HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sdc/information_loss.h"
 #include "sdc/microaggregation.h"
 #include "sdc/noise.h"
@@ -62,6 +64,9 @@ TEST(LinkageTest, ErrorsOnMisalignedTables) {
   DataTable b = MakeClinicalTrial(11, 1);
   EXPECT_FALSE(DistanceLinkageAttack(a, b).ok());
   EXPECT_FALSE(DistanceLinkageAttack(a, a, {}).ok());
+  // A column past the width is refused, not read (it used to abort).
+  EXPECT_EQ(DistanceLinkageAttack(a, a, {0, 99}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ReidentificationRateTest, BoundsForPaperDatasets) {
@@ -104,6 +109,25 @@ TEST(IntervalDisclosureTest, ValidatesArguments) {
   EXPECT_FALSE(IntervalDisclosureRate(a, b, 0, 5.0).ok());
   EXPECT_FALSE(IntervalDisclosureRate(a, a, 0, -1.0).ok());
   EXPECT_FALSE(IntervalDisclosureRate(a, a, 0, 101.0).ok());
+}
+
+// A NaN window passed the old `w < 0 || w > 100` check and disclosed
+// nothing; a column past either table's width aborted the process.
+TEST(IntervalDisclosureTest, NanWindowAndOutOfRangeColumnAreRefused) {
+  DataTable a = MakeClinicalTrial(10, 1);
+  const DataTable narrow = a.Project({0});
+  const DataTable empty = a.Filter([](const std::vector<Value>&) {
+    return false;
+  });
+  for (const auto& rate :
+       {IntervalDisclosureRate(a, a, 0, std::nan("")),
+        IntervalDisclosureRate(a, a, a.num_columns(), 5.0),
+        IntervalDisclosureRate(a, narrow, 1, 5.0),
+        IntervalDisclosureRate(empty, empty, 99, 5.0)}) {
+    ASSERT_FALSE(rate.ok());
+    EXPECT_EQ(rate.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(IntervalDisclosureRate(a, narrow, 0, 5.0).ok());
 }
 
 TEST(InformationLossTest, IdentityHasZeroLoss) {
