@@ -245,7 +245,7 @@ Result<AttackOutcome> RunCollusionAttack(const DataTable& base,
   if (config.trials == 0) {
     return Status::InvalidArgument("collusion attack needs trials");
   }
-  if (config.flip_fraction < 0.0 || config.flip_fraction > 1.0) {
+  if (!(0.0 <= config.flip_fraction && config.flip_fraction <= 1.0)) {
     return Status::InvalidArgument("flip fraction must be in [0, 1]");
   }
   TRIPRIV_ASSIGN_OR_RETURN(FingerprintCodec codec,

@@ -25,7 +25,7 @@
 // reading any column.
 //
 // Both attacks compare reconstructions against the ORIGINAL values, so
-// running them over a protected release (noise, rank swap, PRAM) measures
+// running them over a protected release (noise, rank swap) measures
 // how much of the channel the protection actually closes. Oracles answer
 // from the RELEASED table only — the attack code never touches original
 // confidential values except to score success.

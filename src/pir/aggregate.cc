@@ -89,35 +89,11 @@ std::vector<int64_t> PrivateAggregateServer::CellRepresentative(
   return rep;
 }
 
-namespace {
-
-/// Homomorphic fold Prod_c Enc(w_c)^{weight_c}.
-Result<BigInt> Fold(const PaillierPublicKey& pub,
-                    const std::vector<BigInt>& selector,
-                    const std::vector<uint64_t>& weights) {
-  if (selector.size() != weights.size()) {
-    return Status::InvalidArgument("selector must have one ciphertext per cell");
-  }
-  BigInt acc;
-  bool have = false;
-  for (size_t c = 0; c < weights.size(); ++c) {
-    if (weights[c] == 0) continue;
-    const BigInt term =
-        PaillierMulPlain(pub, selector[c], BigInt::FromU64(weights[c]));
-    acc = have ? PaillierAdd(pub, acc, term) : term;
-    have = true;
-  }
-  if (!have) acc = BigInt(1);  // Enc(0) with unit randomness
-  return acc;
-}
-
-}  // namespace
-
 Result<BigInt> PrivateAggregateServer::EncryptedCount(
     const PaillierPublicKey& pub,
     const std::vector<BigInt>& encrypted_selector) const {
   ++queries_served_;
-  return Fold(pub, encrypted_selector, counts_);
+  return PaillierFold(pub, encrypted_selector, counts_);
 }
 
 Result<BigInt> PrivateAggregateServer::EncryptedDpCount(
@@ -139,7 +115,7 @@ Result<BigInt> PrivateAggregateServer::EncryptedSum(
   for (size_t a = 0; a < sum_attributes_.size(); ++a) {
     if (sum_attributes_[a] == attribute) {
       ++queries_served_;
-      return Fold(pub, encrypted_selector, sums_[a]);
+      return PaillierFold(pub, encrypted_selector, sums_[a]);
     }
   }
   return Status::NotFound("no precomputed sums for attribute '" + attribute +

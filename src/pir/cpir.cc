@@ -22,29 +22,17 @@ Result<std::vector<BigInt>> CpirServer::Answer(
   ++queries_served_;
   std::vector<BigInt> out;
   out.reserve(cols_);
+  std::vector<uint64_t> column(rows_);
   for (size_t j = 0; j < cols_; ++j) {
-    // Enc(sum_i sel_i * M[i][j]); missing cells in the last row count as 0.
-    BigInt acc(1);  // neutral ciphertext product accumulator: Enc(0) not
-                    // needed because c = prod of factors; start at 1 and
-                    // multiply in (mod n^2) — the empty product decrypts
-                    // from the first multiplied factor onward.
-    bool have_factor = false;
+    // Column j's entries weight the row selectors: Enc(M[target_row][j]).
+    // A short last row has no cell in column j, so it weighs 0.
     for (size_t i = 0; i < rows_; ++i) {
       const size_t idx = i * cols_ + j;
-      if (idx >= database_.size()) continue;
-      const uint64_t entry = database_[idx];
-      if (entry == 0) continue;  // Enc(x)^0 contributes nothing
-      const BigInt factor =
-          PaillierMulPlain(pub, encrypted_selector[i], BigInt::FromU64(entry));
-      acc = have_factor ? PaillierAdd(pub, acc, factor) : factor;
-      have_factor = true;
+      column[i] = idx < database_.size() ? database_[idx] : 0;
     }
-    if (!have_factor) {
-      // Whole column is zero: Enc(0) with fixed randomness 1 -> ciphertext 1
-      // ((1 + 0*n) * 1^n = 1). Deterministic, but it encodes a public fact.
-      acc = BigInt(1);
-    }
-    out.push_back(std::move(acc));
+    TRIPRIV_ASSIGN_OR_RETURN(BigInt folded,
+                             PaillierFold(pub, encrypted_selector, column));
+    out.push_back(std::move(folded));
   }
   return out;
 }

@@ -9,7 +9,7 @@ namespace tripriv {
 
 Result<DataTable> RandomizedResponseMask(const DataTable& table, size_t col,
                                          double p, uint64_t seed) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(0.0 <= p && p <= 1.0)) {
     return Status::InvalidArgument("retention probability must be in [0, 1]");
   }
   if (col >= table.num_columns() ||
@@ -42,6 +42,9 @@ Result<DataTable> RandomizedResponseMask(const DataTable& table, size_t col,
 Result<std::map<std::string, double>> ObservedDistribution(
     const DataTable& table, size_t col) {
   if (table.num_rows() == 0) return Status::InvalidArgument("empty table");
+  if (col >= table.num_columns()) {
+    return Status::InvalidArgument("column index out of range");
+  }
   std::map<std::string, double> out;
   size_t n = 0;
   for (size_t r = 0; r < table.num_rows(); ++r) {
@@ -59,12 +62,16 @@ Result<std::map<std::string, double>> EstimateTrueDistribution(
     const DataTable& masked, size_t col, double p,
     const std::vector<std::string>& domain) {
   if (domain.empty()) return Status::InvalidArgument("empty domain");
+  if (std::set<std::string>(domain.begin(), domain.end()).size() !=
+      domain.size()) {
+    return Status::InvalidArgument("domain repeats a category");
+  }
   const double c = static_cast<double>(domain.size());
   // lambda_k = pi_k * p + (1-p)/c  (replacement is uniform over the domain,
   // independent of the original value), so pi_k = (lambda_k - (1-p)/c) / p.
-  if (p <= 0.0) {
-    return Status::InvalidArgument(
-        "retention probability 0 carries no information");
+  // p = 0 carries no information.
+  if (!(0.0 < p && p <= 1.0)) {
+    return Status::InvalidArgument("retention probability must be in (0, 1]");
   }
   TRIPRIV_ASSIGN_OR_RETURN(auto observed, ObservedDistribution(masked, col));
   std::map<std::string, double> estimate;

@@ -11,7 +11,9 @@ namespace tripriv {
 Result<DataTable> AddUncorrelatedNoise(const DataTable& table, double alpha,
                                        const std::vector<size_t>& cols,
                                        uint64_t seed) {
-  if (alpha < 0.0) return Status::InvalidArgument("alpha must be >= 0");
+  if (!(0.0 <= alpha && std::isfinite(alpha))) {
+    return Status::InvalidArgument("alpha must be finite and >= 0");
+  }
   if (table.num_rows() < 2) {
     return Status::InvalidArgument("need >= 2 rows to estimate noise scale");
   }
@@ -29,7 +31,9 @@ Result<DataTable> AddUncorrelatedNoise(const DataTable& table, double alpha,
 Result<DataTable> AddCorrelatedNoise(const DataTable& table, double alpha,
                                      const std::vector<size_t>& cols,
                                      uint64_t seed) {
-  if (alpha < 0.0) return Status::InvalidArgument("alpha must be >= 0");
+  if (!(0.0 <= alpha && std::isfinite(alpha))) {
+    return Status::InvalidArgument("alpha must be finite and >= 0");
+  }
   if (table.num_rows() < 2) {
     return Status::InvalidArgument("need >= 2 rows to estimate covariance");
   }
@@ -55,31 +59,11 @@ Result<DataTable> AddCorrelatedNoise(const DataTable& table, double alpha,
   return out;
 }
 
-Result<DataTable> AddNoiseWithVarianceRestoration(
-    const DataTable& table, double alpha, const std::vector<size_t>& cols,
-    uint64_t seed) {
-  if (alpha < 0.0) return Status::InvalidArgument("alpha must be >= 0");
-  if (table.num_rows() < 2) {
-    return Status::InvalidArgument("need >= 2 rows to estimate noise scale");
-  }
-  Rng rng(seed);
-  DataTable out = table;
-  const double shrink = 1.0 / std::sqrt(1.0 + alpha * alpha);
-  for (size_t c : cols) {
-    TRIPRIV_ASSIGN_OR_RETURN(auto values, table.NumericColumn(c));
-    const double mean = Mean(values);
-    const double sigma = alpha * SampleStddev(values);
-    for (double& v : values) {
-      v = mean + (v - mean + rng.Normal(0.0, sigma)) * shrink;
-    }
-    TRIPRIV_RETURN_IF_ERROR(out.SetNumericColumn(c, values));
-  }
-  return out;
-}
-
 Result<DataTable> AddFixedNoise(const DataTable& table, double sigma,
                                 size_t col, uint64_t seed) {
-  if (sigma < 0.0) return Status::InvalidArgument("sigma must be >= 0");
+  if (!(0.0 <= sigma && std::isfinite(sigma))) {
+    return Status::InvalidArgument("sigma must be finite and >= 0");
+  }
   Rng rng(seed);
   TRIPRIV_ASSIGN_OR_RETURN(auto values, table.NumericColumn(col));
   for (double& v : values) v += rng.Normal(0.0, sigma);

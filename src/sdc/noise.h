@@ -20,15 +20,15 @@
 namespace tripriv {
 
 /// Adds independent Gaussian noise with per-column standard deviation
-/// alpha * sd(column) to the numeric columns `cols`. Requires alpha >= 0
-/// and >= 2 rows (to estimate sd).
+/// alpha * sd(column) to the numeric columns `cols`. Requires a finite
+/// alpha >= 0 and >= 2 rows (to estimate sd).
 TRIPRIV_SANITIZES(aggregate)
 Result<DataTable> AddUncorrelatedNoise(const DataTable& table, double alpha,
                                        const std::vector<size_t>& cols,
                                        uint64_t seed);
 
 /// Adds multivariate Gaussian noise with covariance alpha * Cov(columns).
-/// Requires alpha >= 0 and >= 2 rows.
+/// Requires a finite alpha >= 0 and >= 2 rows.
 TRIPRIV_SANITIZES(aggregate)
 Result<DataTable> AddCorrelatedNoise(const DataTable& table, double alpha,
                                      const std::vector<size_t>& cols,
@@ -36,20 +36,10 @@ Result<DataTable> AddCorrelatedNoise(const DataTable& table, double alpha,
 
 /// Adds N(0, sigma^2) noise with a fixed absolute sigma to one column —
 /// the exact setting of the Agrawal-Srikant reconstruction experiments.
+/// Requires a finite sigma >= 0.
 TRIPRIV_SANITIZES(aggregate)
 Result<DataTable> AddFixedNoise(const DataTable& table, double sigma,
                                 size_t col, uint64_t seed);
-
-/// Kim-style noise with variance restoration: x' = mean + (x - mean + e) /
-/// sqrt(1 + alpha^2) with e ~ N(0, (alpha sd)^2). Unlike plain addition,
-/// the masked column keeps (asymptotically) the original mean AND
-/// variance, so second-moment analyses need no correction — the classic
-/// "masking for analytical validity" refinement of the SDC literature.
-TRIPRIV_SANITIZES(aggregate)
-Result<DataTable> AddNoiseWithVarianceRestoration(const DataTable& table,
-                                                  double alpha,
-                                                  const std::vector<size_t>& cols,
-                                                  uint64_t seed);
 
 }  // namespace tripriv
 

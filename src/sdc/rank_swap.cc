@@ -9,7 +9,7 @@ namespace tripriv {
 
 Result<DataTable> RankSwap(const DataTable& table, double p,
                            const std::vector<size_t>& cols, uint64_t seed) {
-  if (p < 0.0 || p > 100.0) {
+  if (!(0.0 <= p && p <= 100.0)) {
     return Status::InvalidArgument("swap window must be in [0, 100] percent");
   }
   Rng rng(seed);

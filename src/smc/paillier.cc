@@ -75,6 +75,23 @@ BigInt PaillierMulPlain(const PaillierPublicKey& pub, const BigInt& c,
   return BigInt::ModExp(c, k, pub.n_squared);
 }
 
+Result<BigInt> PaillierFold(const PaillierPublicKey& pub,
+                            const std::vector<BigInt>& ciphertexts,
+                            const std::vector<uint64_t>& weights) {
+  if (ciphertexts.size() != weights.size()) {
+    return Status::InvalidArgument(
+        "selector must have one ciphertext per weight");
+  }
+  BigInt acc(1);  // Enc(0) with unit randomness; 1 * c mod n^2 = c
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] == 0) continue;
+    acc = PaillierAdd(
+        pub, acc,
+        PaillierMulPlain(pub, ciphertexts[i], BigInt::FromU64(weights[i])));
+  }
+  return acc;
+}
+
 Result<BigInt> PaillierEncryptZero(const PaillierPublicKey& pub, Rng* rng) {
   return PaillierEncrypt(pub, BigInt(), rng);
 }

@@ -13,6 +13,9 @@
 
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/annotations.h"
 #include "util/bigint.h"
 
@@ -63,6 +66,14 @@ BigInt PaillierAddPlain(const PaillierPublicKey& pub, const BigInt& c,
 /// Homomorphic scalar multiplication: Dec(...) = k m mod n. Requires k >= 0.
 BigInt PaillierMulPlain(const PaillierPublicKey& pub, const BigInt& c,
                         const BigInt& k);
+
+/// Homomorphic weighted sum Prod_i c_i^{w_i}: Dec(...) = sum_i w_i m_i mod
+/// n. Zero weights are skipped; if every weight is 0 the result is the
+/// ciphertext 1, Enc(0) with unit randomness. Requires one ciphertext per
+/// weight. The fold of computational PIR and of private aggregates.
+Result<BigInt> PaillierFold(const PaillierPublicKey& pub,
+                            const std::vector<BigInt>& ciphertexts,
+                            const std::vector<uint64_t>& weights);
 
 /// A fresh encryption of zero, used for re-randomization.
 TRIPRIV_SANITIZES(clean)

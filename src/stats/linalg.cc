@@ -78,41 +78,6 @@ std::vector<double> MatVec(const std::vector<std::vector<double>>& m,
   return out;
 }
 
-Result<std::vector<double>> SolveLinearSystem(
-    std::vector<std::vector<double>> a, std::vector<double> b) {
-  const size_t n = a.size();
-  if (b.size() != n) return Status::InvalidArgument("dimension mismatch");
-  for (const auto& row : a) {
-    if (row.size() != n) return Status::InvalidArgument("matrix is not square");
-  }
-  // Forward elimination with partial pivoting.
-  for (size_t col = 0; col < n; ++col) {
-    size_t pivot = col;
-    for (size_t r = col + 1; r < n; ++r) {
-      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
-    }
-    if (std::fabs(a[pivot][col]) < 1e-12) {
-      return Status::InvalidArgument("matrix is singular");
-    }
-    std::swap(a[col], a[pivot]);
-    std::swap(b[col], b[pivot]);
-    for (size_t r = col + 1; r < n; ++r) {
-      const double factor = a[r][col] / a[col][col];
-      if (factor == 0.0) continue;
-      for (size_t c = col; c < n; ++c) a[r][c] -= factor * a[col][c];
-      b[r] -= factor * b[col];
-    }
-  }
-  // Back substitution.
-  std::vector<double> x(n, 0.0);
-  for (size_t row = n; row-- > 0;) {
-    double sum = b[row];
-    for (size_t c = row + 1; c < n; ++c) sum -= a[row][c] * x[c];
-    x[row] = sum / a[row][row];
-  }
-  return x;
-}
-
 double FrobeniusNorm(const std::vector<std::vector<double>>& m) {
   double s = 0;
   for (const auto& row : m) {

@@ -26,11 +26,6 @@ std::vector<double> MultivariateNormalSample(
 std::vector<double> MatVec(const std::vector<std::vector<double>>& m,
                            const std::vector<double>& v);
 
-/// Solves the square system A x = b by Gaussian elimination with partial
-/// pivoting. Fails on non-square input or a (numerically) singular matrix.
-Result<std::vector<double>> SolveLinearSystem(std::vector<std::vector<double>> a,
-                                              std::vector<double> b);
-
 /// Frobenius norm.
 double FrobeniusNorm(const std::vector<std::vector<double>>& m);
 

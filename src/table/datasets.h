@@ -56,7 +56,7 @@ DataTable MakeCensus(size_t n, uint64_t seed);
 /// Census-scale microdata for the empirical Table 2 attack runs: four
 /// numeric quasi-identifiers (age, education_years, hours_per_week, and a
 /// near-unique real survey_weight) plus the categorical quasi-identifiers
-/// sex and region (PRAM targets) and the confidential income (real) and
+/// sex and region and the confidential income (real) and
 /// diagnosis (categorical). The near-unique weight makes raw-data record
 /// linkage succeed almost surely — the baseline the attack suite needs —
 /// while MakeCensus (above) keeps only two numeric QIs and stays

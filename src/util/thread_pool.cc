@@ -44,9 +44,6 @@ void ThreadPool::ParallelFor(
     const std::function<void(size_t shard, size_t begin, size_t end)>& fn) {
   if (n == 0) return;
   const size_t shards = NumShards(n);
-  ++parallel_fors_;
-  items_dispatched_ += n;
-  shards_dispatched_ += shards;
   const size_t base = n / shards;
   const size_t extra = n % shards;  // the first `extra` shards get one more
   auto shard_bounds = [base, extra](size_t shard) {

@@ -24,7 +24,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -58,26 +57,10 @@ class ThreadPool {
                    const std::function<void(size_t shard, size_t begin,
                                             size_t end)>& fn);
 
-  // Dispatch counters, bumped serially at ParallelFor entry (callers of
-  // ParallelFor are serial by the no-nesting rule). The first two depend
-  // only on the call sequence — identical at any worker count — while
-  // shards_dispatched() varies with it, so observability treats it as a
-  // thread-VARIANT metric excluded from deterministic snapshots.
-
-  /// ParallelFor calls that dispatched work (one barrier wait each).
-  uint64_t parallel_fors() const { return parallel_fors_; }
-  /// Sum of n across dispatching ParallelFor calls.
-  uint64_t items_dispatched() const { return items_dispatched_; }
-  /// Sum of NumShards(n) across calls — a function of the worker count.
-  uint64_t shards_dispatched() const { return shards_dispatched_; }
-
  private:
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  uint64_t parallel_fors_ = 0;
-  uint64_t items_dispatched_ = 0;
-  uint64_t shards_dispatched_ = 0;
   std::mutex mu_;
   std::condition_variable work_ready_;
   std::deque<std::function<void()>> tasks_;

@@ -370,6 +370,22 @@ TEST(FingerprintTest, HeavyFlippingErasesTheMark) {
                    UniformBits(config.codec.num_recipients));
 }
 
+// A NaN flip fraction gets past an `f < 0 || f > 1` check, runs as no
+// flips and reports "flip=nan".
+TEST(FingerprintTest, NanFlipFractionIsRefused) {
+  const DataTable base = MakeCensusScale(500, 7);
+  CollusionAttackConfig config;
+  config.codec.marks = 1024;
+  config.codec.num_recipients = 12;
+  config.colluders = 1;
+  config.trials = 2;
+  AttackContext ctx;
+  ASSERT_TRUE(RunCollusionAttack(base, config, ctx).ok());
+  config.flip_fraction = std::nan("");
+  EXPECT_EQ(RunCollusionAttack(base, config, ctx).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // --- profiling / selection view ------------------------------------------
 
 TEST(ProfilingTest, UnblindedLogDisclosesEverything) {
@@ -456,6 +472,17 @@ TEST(ScoreboardTest, AddRoutesByDimension) {
             Grade::kHigh);  // 1 - 0.1 = 0.9
   EXPECT_EQ(board.row(TechnologyClass::kPir).MeasuredGrade(Dimension::kUser),
             Grade::kNone);  // untouched cell stays fail-closed
+}
+
+// A NaN keep probability must be refused before randomized response hands
+// it to Rng::Bernoulli, whose CHECK would abort the whole run.
+TEST(ScoreboardTest, NanKeepProbabilityIsRefused) {
+  EmpiricalTable2Config config = ClinicalTable2Config(21);
+  config.rr_keep_probability = std::nan("");
+  EXPECT_EQ(RunEmpiricalTable2(MakeExtendedTrial(120, 59), config, {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ScoreboardTest, EmpiricalTable2SmallRunAgreesOnAnchors) {

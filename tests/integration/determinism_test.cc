@@ -8,7 +8,6 @@
 #include "ppdm/randomized_response.h"
 #include "sdc/condensation.h"
 #include "sdc/noise.h"
-#include "sdc/pram.h"
 #include "sdc/rank_swap.h"
 #include "smc/psi.h"
 #include "smc/secure_sum.h"
@@ -33,12 +32,6 @@ TEST(DeterminismTest, AllMaskersReproduceBitForBit) {
     EXPECT_EQ(*a, *b);
   }
   {
-    auto a = AddNoiseWithVarianceRestoration(data, 0.4, qi, 9);
-    auto b = AddNoiseWithVarianceRestoration(data, 0.4, qi, 9);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b);
-  }
-  {
     auto a = RankSwap(data, 10.0, qi, 9);
     auto b = RankSwap(data, 10.0, qi, 9);
     ASSERT_TRUE(a.ok() && b.ok());
@@ -53,13 +46,6 @@ TEST(DeterminismTest, AllMaskersReproduceBitForBit) {
   {
     auto a = RandomizedResponseMask(data, 5, 0.7, 9);
     auto b = RandomizedResponseMask(data, 5, 0.7, 9);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b);
-  }
-  {
-    const PramSpec spec = RetentionPramSpec({"Y", "N"}, 0.7);
-    auto a = PramMask(data, 5, spec, 9);
-    auto b = PramMask(data, 5, spec, 9);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b);
   }

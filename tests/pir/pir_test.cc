@@ -226,16 +226,64 @@ TEST(CpirTest, CommunicationIsSquareRootShaped) {
   EXPECT_EQ(client->last_download_ciphertexts(), 10u); // cols
 }
 
+/// The per-column loop CpirServer::Answer ran before it called
+/// PaillierFold, kept as the reference for its ciphertexts.
+std::vector<BigInt> ReferenceCpirAnswer(const PaillierPublicKey& pub,
+                                        const std::vector<uint64_t>& database,
+                                        size_t rows, size_t cols,
+                                        const std::vector<BigInt>& selector) {
+  std::vector<BigInt> out;
+  for (size_t j = 0; j < cols; ++j) {
+    BigInt acc(1);
+    bool have_factor = false;
+    for (size_t i = 0; i < rows; ++i) {
+      const size_t idx = i * cols + j;
+      if (idx >= database.size()) continue;
+      const uint64_t entry = database[idx];
+      if (entry == 0) continue;
+      const BigInt factor =
+          PaillierMulPlain(pub, selector[i], BigInt::FromU64(entry));
+      acc = have_factor ? PaillierAdd(pub, acc, factor) : factor;
+      have_factor = true;
+    }
+    if (!have_factor) acc = BigInt(1);
+    out.push_back(std::move(acc));
+  }
+  return out;
+}
+
 TEST(CpirTest, HandlesZeroEntriesAndColumns) {
-  std::vector<uint64_t> db{0, 0, 7, 0, 0, 0};
-  auto server = CpirServer::Create(db);
-  ASSERT_TRUE(server.ok());
-  auto client = CpirClient::Create(192, 11);
-  ASSERT_TRUE(client.ok());
-  for (size_t i = 0; i < db.size(); ++i) {
-    auto got = client->Read(&*server, i);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, db[i]);
+  // 2 x 3 with two all-zero columns; 3 x 3 with an all-zero column and a
+  // last row that holds one cell.
+  const std::vector<std::vector<uint64_t>> databases{
+      {0, 0, 7, 0, 0, 0}, {0, 5, 7, 0, 0, 3, 0}};
+  Rng rng(17);
+  auto keys = PaillierGenerateKeys(192, &rng);
+  ASSERT_TRUE(keys.ok());
+  for (const auto& db : databases) {
+    auto server = CpirServer::Create(db);
+    ASSERT_TRUE(server.ok());
+    auto client = CpirClient::Create(192, 11);
+    ASSERT_TRUE(client.ok());
+    for (size_t i = 0; i < db.size(); ++i) {
+      auto got = client->Read(&*server, i);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, db[i]);
+    }
+    // The folded ciphertexts themselves equal the replaced loop's.
+    for (size_t target = 0; target < server->rows(); ++target) {
+      std::vector<BigInt> selector;
+      for (size_t i = 0; i < server->rows(); ++i) {
+        auto c = PaillierEncrypt(keys->pub, BigInt(i == target ? 1 : 0), &rng);
+        ASSERT_TRUE(c.ok());
+        selector.push_back(*c);
+      }
+      auto answer = server->Answer(keys->pub, selector);
+      ASSERT_TRUE(answer.ok());
+      EXPECT_TRUE(*answer == ReferenceCpirAnswer(keys->pub, db, server->rows(),
+                                                 server->cols(), selector))
+          << "database of " << db.size() << ", target row " << target;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 // sparsity attack.
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -52,13 +53,34 @@ TEST(RandomizedResponseTest, FullRetentionIsIdentity) {
   EXPECT_EQ(*masked, data);
 }
 
+// A NaN keep probability compares false both ways: past a `p < 0 || p > 1`
+// check it aborts the mask in Rng::Bernoulli and turns every estimate into
+// NaN. A repeated domain label skews the estimate (N = 0.5 on a column that
+// is 86% N), and a column past the table's width aborts in DataTable::at.
 TEST(RandomizedResponseTest, RejectsBadInput) {
   DataTable data = MakeCensus(100, 9);
-  EXPECT_FALSE(RandomizedResponseMask(data, 0, 0.5, 1).ok());   // integer col
-  EXPECT_FALSE(RandomizedResponseMask(data, 5, -0.1, 1).ok());
-  EXPECT_FALSE(RandomizedResponseMask(data, 5, 1.1, 1).ok());
-  EXPECT_FALSE(EstimateTrueDistribution(data, 5, 0.0, {"x"}).ok());
-  EXPECT_FALSE(EstimateTrueDistribution(data, 5, 0.5, {}).ok());
+  const double nan = std::nan("");
+  auto refused = [](const auto& result) {
+    return result.status().code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(refused(RandomizedResponseMask(data, 0, 0.5, 1)));  // integer
+  EXPECT_TRUE(refused(RandomizedResponseMask(data, 5, -0.1, 1)));
+  EXPECT_TRUE(refused(RandomizedResponseMask(data, 5, 1.1, 1)));
+  EXPECT_TRUE(refused(RandomizedResponseMask(data, 5, nan, 1)));
+  EXPECT_TRUE(refused(RandomizedResponseMask(data, 6, 0.5, 1)));  // width
+  EXPECT_TRUE(refused(EstimateTrueDistribution(data, 5, 0.0, {"x"})));
+  EXPECT_TRUE(refused(EstimateTrueDistribution(data, 5, 0.5, {})));
+  EXPECT_TRUE(refused(EstimateTrueDistribution(data, 5, nan, {"N", "Y"})));
+  EXPECT_TRUE(refused(EstimateTrueDistribution(data, 5, 1.5, {"N", "Y"})));
+  EXPECT_TRUE(refused(EstimateTrueDistribution(data, 5, 0.5, {"N", "N"})));
+  EXPECT_TRUE(refused(EstimateTrueDistribution(data, 6, 0.5, {"N", "Y"})));
+  EXPECT_TRUE(refused(ObservedDistribution(data, 6)));
+
+  const DataTable trial = MakeClinicalTrial(50, 3);
+  EXPECT_TRUE(refused(RandomizedResponseMask(trial, 3, nan, 1)));
+  EXPECT_TRUE(refused(EstimateTrueDistribution(trial, 3, nan, {"N", "Y"})));
+  EXPECT_TRUE(refused(EstimateTrueDistribution(trial, 3, 0.5, {"N", "N"})));
+  EXPECT_TRUE(refused(EstimateTrueDistribution(trial, 4, 0.5, {"N", "Y"})));
 }
 
 TEST(AprioriTest, FindsPlantedPatterns) {

@@ -1,13 +1,8 @@
-// Tests for l-diversity variants, t-closeness, the homogeneity attack,
-// and variance-restoring noise.
-
-#include <cmath>
+// Tests for l-diversity variants, t-closeness, and the homogeneity attack.
 
 #include <gtest/gtest.h>
 
 #include "sdc/diversity.h"
-#include "sdc/noise.h"
-#include "stats/descriptive.h"
 #include "table/datasets.h"
 
 namespace tripriv {
@@ -138,44 +133,6 @@ TEST(HomogeneityAttackTest, CountsExposedRecords) {
       HomogeneityAttackRate(d1, d1.schema().QuasiIdentifierIndices(), 3), 0.0);
   DataTable empty(PatientSchema());
   EXPECT_DOUBLE_EQ(HomogeneityAttackRate(empty, {0, 1}, 3), 0.0);
-}
-
-TEST(VarianceRestorationTest, PreservesMeanAndVariance) {
-  DataTable data = MakeCensus(5000, 61);
-  const size_t income = 4;
-  auto masked = AddNoiseWithVarianceRestoration(data, 0.8, {income}, 67);
-  ASSERT_TRUE(masked.ok());
-  auto orig = data.NumericColumn(income).value();
-  auto out = masked->NumericColumn(income).value();
-  EXPECT_NEAR(Mean(out) / Mean(orig), 1.0, 0.02);
-  EXPECT_NEAR(SampleVariance(out) / SampleVariance(orig), 1.0, 0.05);
-  // Plain additive noise at the same alpha inflates the variance ~1.64x.
-  auto plain = AddUncorrelatedNoise(data, 0.8, {income}, 67);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_GT(SampleVariance(plain->NumericColumn(income).value()) /
-                SampleVariance(orig),
-            1.4);
-}
-
-TEST(VarianceRestorationTest, StillMasksIndividualValues) {
-  DataTable data = MakeCensus(500, 71);
-  auto masked = AddNoiseWithVarianceRestoration(data, 0.8, {4}, 73);
-  ASSERT_TRUE(masked.ok());
-  auto orig = data.NumericColumn(size_t{4}).value();
-  auto out = masked->NumericColumn(size_t{4}).value();
-  size_t changed = 0;
-  for (size_t i = 0; i < orig.size(); ++i) {
-    if (std::fabs(orig[i] - out[i]) > 1e-9) ++changed;
-  }
-  EXPECT_EQ(changed, orig.size());
-}
-
-TEST(VarianceRestorationTest, RejectsBadInput) {
-  DataTable data = MakeCensus(10, 1);
-  EXPECT_FALSE(AddNoiseWithVarianceRestoration(data, -0.5, {4}, 1).ok());
-  DataTable single(PatientSchema());
-  ASSERT_TRUE(single.AppendRow({170, 70, 150, "N"}).ok());
-  EXPECT_FALSE(AddNoiseWithVarianceRestoration(single, 0.5, {0}, 1).ok());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for Mondrian, noise addition, rank swapping, and condensation.
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -118,10 +119,17 @@ TEST(NoiseTest, FixedNoiseMatchesSigma) {
   EXPECT_NEAR(SampleStddev(noise), 25.0, 1.5);
 }
 
+// A NaN or infinite alpha or sigma gets past a `< 0` check; the noise then
+// writes every cell of an integer column as -2^63.
 TEST(NoiseTest, RejectsBadArguments) {
   DataTable data = MakeCensus(10, 1);
   EXPECT_FALSE(AddUncorrelatedNoise(data, -1.0, {0}, 1).ok());
   EXPECT_FALSE(AddFixedNoise(data, -0.1, 0, 1).ok());
+  for (double bad : {std::nan(""), HUGE_VAL}) {
+    EXPECT_FALSE(AddUncorrelatedNoise(data, bad, {0}, 1).ok()) << bad;
+    EXPECT_FALSE(AddCorrelatedNoise(data, bad, {0, 4}, 1).ok()) << bad;
+    EXPECT_FALSE(AddFixedNoise(data, bad, 0, 1).ok()) << bad;
+  }
   DataTable single(PatientSchema());
   ASSERT_TRUE(single.AppendRow({170, 70, 150, "N"}).ok());
   EXPECT_FALSE(AddUncorrelatedNoise(single, 0.5, {0}, 1).ok());
@@ -179,10 +187,13 @@ TEST(RankSwapTest, WindowBoundsSwapDistance) {
   }
 }
 
+// A NaN window gets past a `p < 0 || p > 100` check and reaches
+// static_cast<size_t>(NaN), which is undefined behaviour.
 TEST(RankSwapTest, RejectsBadWindow) {
   DataTable data = MakeCensus(10, 1);
   EXPECT_FALSE(RankSwap(data, -1.0, {0}, 1).ok());
   EXPECT_FALSE(RankSwap(data, 101.0, {0}, 1).ok());
+  EXPECT_FALSE(RankSwap(data, std::nan(""), {0}, 1).ok());
 }
 
 TEST(CondensationTest, PreservesMeanAndCovarianceApproximately) {
