@@ -7,12 +7,14 @@
 //
 // PIR batches run their items serially and the pool shards each replica's
 // sweep, so a threaded row pays one fork/join per sweep and gains only where
-// a sweep is long enough to amortize it. Measured on a 4-vCPU Intel Xeon VM
-// (GCC 12.2, Release, medians of 5 repetitions): BM_RecursivePirBatchRead
-// read 11.5 ms at 0 threads, 12.1 ms at 2 and 41.3 ms at 4, and
-// BM_ShardedAnswerKernel (a 4 MB sweep) 681 us at 0 threads and 1722 us at
-// 4. On that host a fork/join costs more than sharding a sweep saves, so
-// whether a threaded row beats the serial one depends on the host.
+// a sweep is long enough to amortize it. Every PIR row sweeps the servers'
+// dense layout, their only record store. Measured on a 4-vCPU Intel Xeon
+// VM (GCC 12.2, Release, medians of 5 repetitions, three runs):
+// BM_RecursivePirBatchRead read 5.8-7.4 ms at 0 threads, 8.3-8.8 ms at 2
+// and 6.5-7.6 ms at 4, and BM_ShardedAnswerKernel (a 4 MB sweep) 267-332 us
+// at 0 threads, 361-429 us at 2 and 198-243 us at 8. On that host a
+// 2-thread fork/join costs more than sharding a sweep saves, so whether a
+// threaded row beats the serial one depends on the host and the count.
 //
 // All benchmarks use wall-clock time (UseRealTime): the work happens on
 // pool workers, so the default main-thread CPU accounting would report

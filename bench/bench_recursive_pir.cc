@@ -10,7 +10,7 @@
 //   * upload gate: at 2^20 records the recursive upload per read (d = 2
 //     and d = 3) must be < 5% of the flat path's 2n bits;
 //   * compute gate: at 2^20 records the d = 2 server compute per read
-//     (seed/bitmap expansion + the preprocessed XOR sweep, summed over all
+//     (seed/bitmap expansion + the dense XOR sweep, summed over all
 //     2^d replicas) must be within 1.2x of the flat kernel's two sweeps.
 //     d = 3 is reported alongside: its per-replica selections are sparser,
 //     so the skip-8 fast path matters more and the ratio is informative,
@@ -20,7 +20,7 @@
 // work), then the answer calls — Answer for the flat pair,
 // AnswerHypercubeQuery per replica for the recursive fleet — are timed
 // min-of-trials, robust against one-off scheduler noise in a shared CI
-// box. One preprocessed server stands in for all replicas of a scheme
+// box. One server stands in for all replicas of a scheme
 // (replicas are byte-identical; answers depend only on the queries), so
 // the bench holds one database copy per scheme, not 2^d.
 
@@ -74,12 +74,11 @@ struct SchemeResult {
 };
 
 /// Flat 2-server baseline: queries pre-drawn, the timed region is the two
-/// n-bit XOR sweeps per read against the preprocessed layout.
+/// n-bit XOR sweeps per read against the dense layout.
 SchemeResult RunFlat(const std::vector<std::vector<uint8_t>>& records) {
   const size_t n = records.size();
   auto server = XorPirServer::Create(records);
   TRIPRIV_CHECK(server.ok());
-  server->Preprocess();
 
   Rng rng(41);
   const auto indices = ReadIndices(n);
@@ -105,7 +104,7 @@ SchemeResult RunFlat(const std::vector<std::vector<uint8_t>>& records) {
 
 /// Recursive scheme at dimension `d`: queries pre-built, the timed region
 /// is AnswerHypercubeQuery over all 2^d replicas per read (expansion + the
-/// preprocessed sweep — the full server-side cost of the compressed query).
+/// dense sweep — the full server-side cost of the compressed query).
 SchemeResult RunRecursive(const std::vector<std::vector<uint8_t>>& records,
                           size_t d, HypercubeGeometry* geometry_out) {
   const size_t n = records.size();
@@ -114,7 +113,6 @@ SchemeResult RunRecursive(const std::vector<std::vector<uint8_t>>& records,
   *geometry_out = *g;
   auto server = XorPirServer::Create(records);
   TRIPRIV_CHECK(server.ok());
-  server->Preprocess();
 
   Rng rng(43);
   const auto indices = ReadIndices(n);
@@ -152,7 +150,7 @@ int main() {
   using namespace tripriv;
   std::printf("=== TriPriv bench: recursive d-dimensional PIR ===\n");
   std::printf("records: %zu bytes each; %zu reads/trial, %d trials "
-              "(min kept); servers preprocessed\n\n",
+              "(min kept); dense server layout\n\n",
               kRecordSize, kReadsPerTrial, kTrials);
 
   const size_t kSizes[] = {size_t{1} << 16, size_t{1} << 18, size_t{1} << 20};

@@ -61,18 +61,15 @@ Result<EpochPirReader::Replicas*> EpochPirReader::ReplicasFor(
   Replicas built;
   built.epoch = epoch;
   // One replica, aliased 2^d times at read time, plus the epoch's
-  // hypercube geometry (the row count may change per epoch).
+  // hypercube geometry (the row count may change per epoch). Create copies
+  // the records into the dense layout and frees them; the layout is
+  // evicted with the epoch's entry, so the flip IS the invalidation.
   TRIPRIV_ASSIGN_OR_RETURN(
       built.geometry,
       HypercubeGeometry::Balanced(records.size(), options_.dimensions));
   TRIPRIV_ASSIGN_OR_RETURN(XorPirServer replica,
                            XorPirServer::Create(std::move(records)));
   built.replica = std::make_unique<XorPirServer>(std::move(replica));
-  if (options_.preprocess) {
-    // Per-epoch preprocessing: the dense layout is rendered alongside the
-    // replica and evicted with it — the flip IS the invalidation.
-    built.replica->Preprocess();
-  }
   // A newly rendered epoch means any session scratch sized for an older
   // epoch's table is stale: drop it before the first read of this epoch.
   sessions_.InvalidateBefore(epoch);

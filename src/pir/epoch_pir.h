@@ -53,9 +53,8 @@ struct EpochPirOptions {
   /// pir/recursive_pir.h (1 = the 2-server scheme). Any other value fails
   /// every read with kInvalidArgument.
   size_t dimensions = 1;
-  /// Build the dense record layout (XorPirServer::Preprocess) when an
-  /// epoch's replica is rendered. The layout lives and dies with
-  /// the cached epoch entry: the flip-driven eviction IS the invalidation.
+  /// Ignored: every replica is built in the dense layout, the server's
+  /// only record store (see XorPirServer::Create).
   bool preprocess = false;
   /// Session key for expansion scratch — an allowlisted tenant class
   /// (obs::kClass* index), never a principal id.
@@ -92,7 +91,7 @@ class EpochPirReader {
   /// rendered one are invalidated at render time — the EpochManager flip
   /// hook.
   const PirSessionRegistry& sessions() const { return sessions_; }
-  /// Bytes currently held by preprocessed dense layouts across the cache.
+  /// Bytes currently held by the cached replicas' dense layouts.
   uint64_t preprocess_bytes() const;
 
  private:

@@ -67,8 +67,22 @@ Result<XorPirServer> XorPirServer::Create(
     }
   }
   XorPirServer server;
-  server.records_ = std::move(records);
+  server.num_records_ = records.size();
+  server.record_size_ = size;
+  server.stride_ = (size + 7) / 8 * 8;
+  server.dense_ = AlignedWordBuffer(records.size() * server.stride_ / 8);
+  uint8_t* out = server.dense_.bytes();
+  for (const std::vector<uint8_t>& record : records) {
+    std::memcpy(out, record.data(), size);
+    out += server.stride_;
+  }
   return server;
+}
+
+std::vector<uint8_t> XorPirServer::record(size_t i) const {
+  TRIPRIV_CHECK_LT(i, num_records_);
+  const uint8_t* begin = dense_.bytes() + i * stride_;
+  return std::vector<uint8_t>(begin, begin + record_size_);
 }
 
 void XorPirServer::EnableObservationLog(size_t capacity) {
@@ -105,45 +119,28 @@ const std::vector<uint8_t>& XorPirServer::last_observed_query() const {
   return observed_query(observed_.size() - 1);
 }
 
-void XorPirServer::Preprocess() {
-  if (preprocessed()) return;
-  const size_t size = record_size();
-  stride_ = (size + 7) / 8 * 8;
-  dense_ = AlignedWordBuffer(records_.size() * stride_ / 8);
-  uint8_t* out = dense_.bytes();
-  for (const std::vector<uint8_t>& record : records_) {
-    std::memcpy(out, record.data(), size);
-    out += stride_;
-  }
-}
-
 void XorPirServer::AccumulateRange(const std::vector<uint8_t>& selection,
                                    size_t begin, size_t end,
                                    uint8_t* acc) const {
+  const uint8_t* dense = dense_.bytes();
+  const size_t stride = stride_;
   const size_t size = record_size();
-  if (preprocessed()) {
-    const uint8_t* dense = dense_.bytes();
-    ForEachSelected(selection, begin, end, [&](size_t i) {
-      XorBytesInto(acc, dense + i * stride_, size);
-    });
-  } else {
-    ForEachSelected(selection, begin, end, [&](size_t i) {
-      XorBytesInto(acc, records_[i].data(), size);
-    });
-  }
+  ForEachSelected(selection, begin, end, [&](size_t i) {
+    XorBytesInto(acc, dense + i * stride, size);
+  });
 }
 
 Result<std::vector<uint8_t>> XorPirServer::ComputeAnswer(
     const std::vector<uint8_t>& selection, ThreadPool* pool) const {
   if (!compute_fault_.ok()) return compute_fault_;
-  if (selection.size() != (records_.size() + 7) / 8) {
+  if (selection.size() != (num_records_ + 7) / 8) {
     return Status::InvalidArgument("selection bitmap has wrong length");
   }
   const size_t size = record_size();
   std::vector<uint8_t> acc(size, 0);
-  const size_t shards = pool == nullptr ? 1 : pool->NumShards(records_.size());
-  if (shards <= 1 || records_.size() * size < kMinParallelAnswerBytes) {
-    AccumulateRange(selection, 0, records_.size(), acc.data());
+  const size_t shards = pool == nullptr ? 1 : pool->NumShards(num_records_);
+  if (shards <= 1 || num_records_ * size < kMinParallelAnswerBytes) {
+    AccumulateRange(selection, 0, num_records_, acc.data());
     return acc;
   }
   // Per-shard partial accumulators, XOR-merged in shard order below. XOR is
@@ -152,7 +149,7 @@ Result<std::vector<uint8_t>> XorPirServer::ComputeAnswer(
   // serial one.
   std::vector<std::vector<uint8_t>> partial(shards,
                                             std::vector<uint8_t>(size, 0));
-  pool->ParallelFor(records_.size(),
+  pool->ParallelFor(num_records_,
                     [this, &selection, &partial](size_t shard, size_t begin,
                                                  size_t end) {
                       AccumulateRange(selection, begin, end,

@@ -12,10 +12,10 @@
 // The answer path is the system's steady-state hot loop: a blocked,
 // word-wide XOR kernel (pir/xor_kernel.h), optionally sharded across a
 // ThreadPool with per-shard partial accumulators merged in fixed shard
-// order, so the answer is bit-identical at any thread count. Preprocess()
-// copies the records into one dense, word-strided buffer (the XOR analog of
-// SealPIR's preprocess_ntt) that the sweep streams instead of chasing
-// per-record vectors.
+// order, so the answer is bit-identical at any thread count. Create copies
+// the records into one dense, word-strided buffer (the XOR analog of
+// SealPIR's preprocess_ntt), the server's only record store, which the
+// sweep streams front to back.
 //
 // Recording what a server observed (its view of the protocol, used by the
 // evaluation harness and the attack demos) is opt-in and bounded: under
@@ -51,10 +51,15 @@ void FlipSelectionBit(std::vector<uint8_t>* bits, size_t i);
 class XorPirServer {
  public:
   /// Requires >= 1 record; all records must have equal, non-zero length.
+  /// Copies the records into the dense layout and drops `records`: record i
+  /// sits at byte i * stride of one 64-byte-aligned buffer, stride being
+  /// record_size() rounded up to 8, with zero padding. The sweep is bound by
+  /// memory traffic, so the layout stores each record once and nothing
+  /// else. A copy of the server owns a copy of the layout.
   static Result<XorPirServer> Create(std::vector<std::vector<uint8_t>> records);
 
-  size_t num_records() const { return records_.size(); }
-  size_t record_size() const { return records_.empty() ? 0 : records_[0].size(); }
+  size_t num_records() const { return num_records_; }
+  size_t record_size() const { return record_size_; }
 
   /// XOR of the records selected by `selection` (one bit per record, packed
   /// LSB-first into bytes). Counts the query and, when the observation log
@@ -72,19 +77,10 @@ class XorPirServer {
   Result<std::vector<uint8_t>> ComputeAnswer(
       const std::vector<uint8_t>& selection, ThreadPool* pool = nullptr) const;
 
-  /// One-time per-epoch preprocessing — the XOR analog of SealPIR's
-  /// preprocess_ntt. Copies the records into one dense 64-byte-aligned
-  /// buffer: record i sits at byte i * stride, stride being record_size()
-  /// rounded up to 8, with zero padding. The sweep then streams contiguous
-  /// memory instead of chasing per-record heap pointers; it is bound by
-  /// memory traffic, so the layout stores each record once and nothing
-  /// else. Answers are byte-identical with or without it (only record
-  /// addresses change), and bytes_xored() is derived from the observed
-  /// selection, not from the sweep. Idempotent; costs one database copy.
-  void Preprocess();
-  bool preprocessed() const { return !dense_.empty(); }
-  /// Bytes held by the preprocessed layout: num_records() * stride (0
-  /// before Preprocess).
+  /// No-op: Create builds the dense layout. Kept while tripriv_bench
+  /// still calls it.
+  void Preprocess() {}
+  /// Bytes held by the dense layout: num_records() * stride.
   uint64_t preprocess_bytes() const { return dense_.size_bytes(); }
 
   /// Injected adversity for error-path tests: once armed with a non-OK
@@ -122,24 +118,21 @@ class XorPirServer {
   TRIPRIV_SENSITIVE(record)
   const std::vector<uint8_t>& last_observed_query() const;
 
-  /// Direct (non-private) record access, for testing and for the baseline
-  /// "no PIR" comparison.
-  const std::vector<uint8_t>& record(size_t i) const {
-    TRIPRIV_CHECK_LT(i, records_.size());
-    return records_[i];
-  }
+  /// Direct (non-private) copy of record `i`'s record_size() bytes, for
+  /// testing and for the baseline "no PIR" comparison.
+  std::vector<uint8_t> record(size_t i) const;
 
  private:
   /// XORs the records selected in [begin, end) into `acc` (record_size()
-  /// bytes): one walk over the set bits, 64 selection bits per word, read
-  /// from the dense layout when Preprocess has built it.
+  /// bytes): one walk over the set bits, 64 selection bits per word.
   void AccumulateRange(const std::vector<uint8_t>& selection, size_t begin,
                        size_t end, uint8_t* acc) const;
 
-  std::vector<std::vector<uint8_t>> records_;
-  /// Preprocessed dense layout (see Preprocess): record i at byte
-  /// i * stride_, zero-padded to stride_ (a multiple of 8).
+  /// The dense layout (see Create): record i at byte i * stride_,
+  /// zero-padded to stride_ (a multiple of 8).
   AlignedWordBuffer dense_;
+  size_t num_records_ = 0;
+  size_t record_size_ = 0;
   size_t stride_ = 0;
   Status compute_fault_;  ///< injected ComputeAnswer failure (OK = disarmed)
   uint64_t queries_answered_ = 0;

@@ -62,8 +62,8 @@ Result<std::map<std::string, double>> EstimateTrueDistribution(
     const DataTable& masked, size_t col, double p,
     const std::vector<std::string>& domain) {
   if (domain.empty()) return Status::InvalidArgument("empty domain");
-  if (std::set<std::string>(domain.begin(), domain.end()).size() !=
-      domain.size()) {
+  const std::set<std::string> categories(domain.begin(), domain.end());
+  if (categories.size() != domain.size()) {
     return Status::InvalidArgument("domain repeats a category");
   }
   const double c = static_cast<double>(domain.size());
@@ -74,6 +74,14 @@ Result<std::map<std::string, double>> EstimateTrueDistribution(
     return Status::InvalidArgument("retention probability must be in (0, 1]");
   }
   TRIPRIV_ASSIGN_OR_RETURN(auto observed, ObservedDistribution(masked, col));
+  // The model draws replacements uniformly over `domain`, so a category the
+  // column shows outside it breaks every estimate, not just its own.
+  for (const auto& entry : observed) {
+    if (!categories.contains(entry.first)) {
+      return Status::InvalidArgument(
+          "masked column holds a category outside the domain");
+    }
+  }
   std::map<std::string, double> estimate;
   double total = 0.0;
   for (const auto& category : domain) {

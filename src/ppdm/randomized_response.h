@@ -30,7 +30,9 @@ Result<DataTable> RandomizedResponseMask(const DataTable& table, size_t col,
 /// frequency obeys lambda = (p + (1-p)/c) pi + (1-p)/c (1 - pi), inverted
 /// per category. Estimates are clamped to [0, 1] and renormalized.
 /// `domain` fixes the category order of the output and must not repeat a
-/// category. Requires p in (0, 1].
+/// category. Every category the masked column holds must be in `domain`; a
+/// domain category the column never shows is estimated from lambda = 0.
+/// Requires p in (0, 1].
 Result<std::map<std::string, double>> EstimateTrueDistribution(
     const DataTable& masked, size_t col, double p,
     const std::vector<std::string>& domain);

@@ -39,7 +39,7 @@ Result<FailoverPirClient> FailoverPirClient::Build(
 Result<FailoverPirClient> FailoverPirClient::BuildRecursive(
     const std::vector<std::vector<uint8_t>>& records, size_t num_groups,
     size_t dimensions, const RetryPolicy& retry, SimClock* clock,
-    uint64_t seed, bool preprocess) {
+    uint64_t seed, bool /*preprocess*/) {
   TRIPRIV_CHECK(clock != nullptr);
   if (num_groups < 1) {
     return Status::InvalidArgument("need at least one server group");
@@ -51,12 +51,15 @@ Result<FailoverPirClient> FailoverPirClient::BuildRecursive(
   client.payload_size_ = records[0].size();
   TRIPRIV_ASSIGN_OR_RETURN(
       client.geometry_, HypercubeGeometry::Balanced(stored.size(), dimensions));
+  TRIPRIV_ASSIGN_OR_RETURN(XorPirServer first,
+                           XorPirServer::Create(std::move(stored)));
+  // The other physical servers copy the first one's layout: each owns and
+  // streams its own bytes, nothing is aliased.
   const size_t total = client.group_size() * num_groups;
   client.servers_.reserve(total);
-  for (size_t s = 0; s < total; ++s) {
-    TRIPRIV_ASSIGN_OR_RETURN(XorPirServer server, XorPirServer::Create(stored));
-    if (preprocess) server.Preprocess();
-    client.servers_.push_back(std::move(server));
+  client.servers_.push_back(std::move(first));
+  while (client.servers_.size() < total) {
+    client.servers_.push_back(client.servers_.front());
   }
   client.faults_.resize(total);
   return client;

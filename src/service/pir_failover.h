@@ -60,9 +60,10 @@ class FailoverPirClient {
       const RetryPolicy& retry, SimClock* clock, uint64_t seed);
 
   /// Replicates `records` (plus per-record checksums) onto num_groups
-  /// groups of 2^d servers, each group running the d-dimensional scheme.
-  /// `preprocess` renders the per-replica dense layout at build time.
-  /// Requires num_groups >= 1, d in [1, 8] and valid records (see
+  /// groups of 2^d servers, each group running the d-dimensional scheme:
+  /// one server's dense layout is built, and every other server holds a
+  /// copy of it. `preprocess` is ignored (every layout is dense). Requires
+  /// num_groups >= 1, d in [1, 8] and valid records (see
   /// XorPirServer::Create).
   static Result<FailoverPirClient> BuildRecursive(
       const std::vector<std::vector<uint8_t>>& records, size_t num_groups,
@@ -102,7 +103,8 @@ class FailoverPirClient {
   const HypercubeGeometry& geometry() const { return geometry_; }
   /// Per-tenant-class expansion sessions.
   const PirSessionRegistry& sessions() const { return sessions_; }
-  /// Bytes held by preprocessed dense layouts across all replicas.
+  /// Bytes held by the dense layouts of all replicas:
+  /// num_groups() * group_size() * num_records() * stride.
   uint64_t preprocess_bytes() const {
     uint64_t total = 0;
     for (const XorPirServer& server : servers_) {

@@ -68,16 +68,6 @@ std::vector<double> MultivariateNormalSample(
   return out;
 }
 
-std::vector<double> MatVec(const std::vector<std::vector<double>>& m,
-                           const std::vector<double>& v) {
-  std::vector<double> out(m.size(), 0.0);
-  for (size_t i = 0; i < m.size(); ++i) {
-    TRIPRIV_CHECK_EQ(m[i].size(), v.size());
-    for (size_t j = 0; j < v.size(); ++j) out[i] += m[i][j] * v[j];
-  }
-  return out;
-}
-
 double FrobeniusNorm(const std::vector<std::vector<double>>& m) {
   double s = 0;
   for (const auto& row : m) {

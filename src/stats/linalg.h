@@ -22,10 +22,6 @@ std::vector<double> MultivariateNormalSample(
     const std::vector<double>& mean,
     const std::vector<std::vector<double>>& chol, Rng* rng);
 
-/// Matrix-vector product.
-std::vector<double> MatVec(const std::vector<std::vector<double>>& m,
-                           const std::vector<double>& v);
-
 /// Frobenius norm.
 double FrobeniusNorm(const std::vector<std::vector<double>>& m);
 

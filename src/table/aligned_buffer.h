@@ -1,11 +1,12 @@
-// Cache-line-aligned word storage for preprocessed database layouts.
+// Cache-line-aligned word storage for XorPirServer's dense record layout,
+// the one copy of the database each PIR replica holds.
 //
-// The PIR answer sweep and the SDC distance scans are memory-bandwidth
-// bound: what they stream from should start on a 64-byte boundary and be
-// padded to whole cache lines so the compiler's vectorized loops never
-// straddle a line and never need a scalar prologue. std::vector<uint64_t>
-// only guarantees 8-byte alignment, so AlignedWordBuffer over-allocates by
-// seven words and publishes the first 64-byte-aligned word as data().
+// The PIR answer sweep is memory-bandwidth bound: what it streams from
+// should start on a 64-byte boundary and be padded to whole cache lines so
+// the compiler's vectorized loops never straddle a line and never need a
+// scalar prologue. std::vector<uint64_t> only guarantees 8-byte alignment,
+// so AlignedWordBuffer over-allocates by seven words and publishes the
+// first 64-byte-aligned word as data().
 //
 // Copying re-derives the alignment offset for the new allocation (the
 // padding words are dead space, never part of the logical contents), so a

@@ -1,15 +1,17 @@
-// Dense preprocessing layout: XorPirServer::ComputeAnswer must return the
-// same bytes with and without Preprocess, and both must equal a plain
-// reference XOR, for every record size the stride rounds differently,
-// record counts odd, even and off the 8-bit selection bytes, selections
-// that stress each end of the set-bit walk, and 0/1/2/8 workers (this file
-// carries the parallel label, so the TSan leg sweeps shards concurrently).
+// The dense layout, XorPirServer's only record store: ComputeAnswer must
+// equal a plain reference XOR for every record size the stride rounds
+// differently, record counts odd, even and off the 8-bit selection bytes,
+// selections that stress each end of the set-bit walk, and 0/1/2/8 workers.
+// A failover client holds exactly one layout per physical server, and a
+// copied server shares nothing with its source. This file carries the
+// parallel label, so the TSan leg sweeps shards concurrently.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "pir/it_pir.h"
+#include "service/pir_failover.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -94,34 +96,85 @@ TEST(PreprocessLayoutTest, DenseAndPlainAnswersAreByteIdentical) {
     for (size_t n : {size_t{1}, size_t{13}, size_t{30}, size_t{64},
                      sharded + 1, sharded + 2, sharded + 8}) {
       const auto records = MakeRecords(n, size, 1000 * size + n);
-      auto plain = XorPirServer::Create(records);
-      auto dense = XorPirServer::Create(records);
-      ASSERT_TRUE(plain.ok() && dense.ok());
-      dense->Preprocess();
-      dense->Preprocess();  // idempotent: the second call keeps the layout
-      ASSERT_TRUE(dense->preprocessed());
-      EXPECT_FALSE(plain->preprocessed());
-      EXPECT_EQ(plain->preprocess_bytes(), 0u);
+      auto server = XorPirServer::Create(records);
+      ASSERT_TRUE(server.ok());
       // Record size rounded up to whole words, nothing more: the padding
       // never reaches an answer because only record_size() bytes are XORed.
-      EXPECT_EQ(dense->preprocess_bytes(), n * ((size + 7) / 8 * 8))
+      EXPECT_EQ(server->preprocess_bytes(), n * ((size + 7) / 8 * 8))
           << "size=" << size << " n=" << n;
       const auto selections = Selections(n, &rng);
       for (size_t q = 0; q < selections.size(); ++q) {
         const auto expected = ReferenceAnswer(records, selections[q]);
         for (const auto& pool : pools) {
-          auto a = plain->ComputeAnswer(selections[q], pool.get());
-          auto b = dense->ComputeAnswer(selections[q], pool.get());
-          ASSERT_TRUE(a.ok() && b.ok());
-          EXPECT_EQ(*a, expected) << "plain size=" << size << " n=" << n
-                                  << " selection=" << q
-                                  << " threads=" << pool->num_threads();
-          EXPECT_EQ(*b, expected) << "dense size=" << size << " n=" << n
-                                  << " selection=" << q
-                                  << " threads=" << pool->num_threads();
+          auto answer = server->ComputeAnswer(selections[q], pool.get());
+          ASSERT_TRUE(answer.ok());
+          EXPECT_EQ(*answer, expected) << "size=" << size << " n=" << n
+                                       << " selection=" << q
+                                       << " threads=" << pool->num_threads();
         }
       }
     }
+  }
+}
+
+TEST(PreprocessLayoutTest, EveryReplicaOwnsOneLayoutAndCopiesShareNothing) {
+  // 1000 records of 27 bytes, 35 with the checksum suffix: a stored stride
+  // of 40 and 35,000 stored bytes, so a 2-worker pool shards each sweep.
+  const size_t n = 1000;
+  const size_t size = 27;
+  const size_t groups = 2;
+  const size_t dimensions = 2;
+  const size_t stride = (size + 8 + 7) / 8 * 8;  // checksum suffix stored
+  const auto records = MakeRecords(n, size, 5);
+  for (size_t threads : {0u, 2u}) {
+    ThreadPool pool(threads);
+    SimClock clock;
+    auto client = FailoverPirClient::BuildRecursive(
+        records, groups, dimensions, RetryPolicy{}, &clock, /*seed=*/17,
+        /*preprocess=*/false);
+    ASSERT_TRUE(client.ok());
+    // One dense layout per physical server, built without `preprocess`.
+    EXPECT_EQ(client->preprocess_bytes(),
+              groups * (size_t{1} << dimensions) * n * stride);
+    for (size_t i = 0; i < n; ++i) {
+      auto read = client->Read(i, Deadline(), /*tenant_class=*/0, &pool);
+      ASSERT_TRUE(read.ok()) << "threads=" << threads << " record " << i;
+      EXPECT_EQ(*read, records[i]) << "threads=" << threads << " record " << i;
+    }
+  }
+
+  // A copied server owns its layout, fault, counters and observation ring.
+  auto source = XorPirServer::Create(records);
+  ASSERT_TRUE(source.ok());
+  source->EnableObservationLog(4);
+  XorPirServer copy = *source;
+  copy.InjectComputeFault(Status::Unavailable("copy diverged"));
+  copy.EnableObservationLog(2);
+  Rng rng(73);
+  const auto selection = RandomSelectionBits(n, &rng);
+  auto refused = copy.Answer(selection);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  for (int q = 0; q < 3; ++q) copy.ObserveQuery(selection);
+  EXPECT_EQ(copy.queries_answered(), 3u);
+  EXPECT_EQ(copy.num_observed(), 2u);
+  EXPECT_EQ(source->queries_answered(), 0u);
+  EXPECT_EQ(source->num_observed(), 0u);
+  auto answer = source->Answer(selection);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(*answer, ReferenceAnswer(records, selection));
+  EXPECT_EQ(source->queries_answered(), 1u);
+  EXPECT_EQ(source->num_observed(), 1u);
+  EXPECT_EQ(copy.queries_answered(), 3u);
+  copy.InjectComputeFault(Status::OK());
+  auto disarmed = copy.ComputeAnswer(selection);
+  ASSERT_TRUE(disarmed.ok());
+  EXPECT_EQ(*disarmed, *answer);
+
+  // record(i) is exactly record i's bytes: no stride padding.
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(source->record(i), records[i]) << "record " << i;
+    EXPECT_EQ(copy.record(i), records[i]) << "record " << i;
   }
 }
 

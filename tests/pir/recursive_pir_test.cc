@@ -2,7 +2,7 @@
 // the 2-server scheme and d = 2 the 4-server cube: geometry, seed
 // expansion, retrieval, upload, canonical flat transcripts (padding and
 // overhang), row-wise product expansion against a per-cell reference,
-// preprocessing equivalence, session reuse, epoch invalidation, and the
+// serial vs pooled reads, session reuse, epoch invalidation, and the
 // thread-count invariance contract (this file carries the parallel label —
 // the TSan leg's payload for `ctest -L pir`).
 
@@ -36,15 +36,13 @@ struct Fleet {
   std::vector<XorPirServer*> ptrs;
 };
 
-Fleet MakeFleet(const std::vector<std::vector<uint8_t>>& records, size_t d,
-                bool preprocess = false) {
+Fleet MakeFleet(const std::vector<std::vector<uint8_t>>& records, size_t d) {
   Fleet fleet;
   const size_t count = size_t{1} << d;
   fleet.servers.reserve(count);
   for (size_t s = 0; s < count; ++s) {
     auto server = XorPirServer::Create(records);
     TRIPRIV_CHECK(server.ok());
-    if (preprocess) server->Preprocess();
     fleet.servers.push_back(std::move(*server));
   }
   for (auto& server : fleet.servers) fleet.ptrs.push_back(&server);
@@ -311,21 +309,22 @@ TEST(RecursivePirTest, RejectsNonCanonicalAxisPadding) {
 }
 
 TEST(RecursivePirTest, PreprocessedAnswersAreByteIdentical) {
-  // The dense layout changes the sweep, never the bytes: every index, odd
-  // and even record counts, plain vs preprocessed, with and without a pool.
+  // Every index, odd and even record counts, read serially and with a
+  // pool from two fleets over the same records: the same bytes, and the
+  // record itself. Each replica holds one 24-byte-strided layout.
   for (size_t n : {29u, 30u, 31u}) {
     auto records = MakeRecords(n, 24);
     auto g = HypercubeGeometry::Balanced(n, 2);
     ASSERT_TRUE(g.ok());
-    Fleet plain = MakeFleet(records, 2, /*preprocess=*/false);
-    Fleet pre = MakeFleet(records, 2, /*preprocess=*/true);
-    EXPECT_GT(pre.ptrs[0]->preprocess_bytes(), 0u);
+    Fleet serial = MakeFleet(records, 2);
+    Fleet pooled = MakeFleet(records, 2);
+    EXPECT_EQ(pooled.ptrs[0]->preprocess_bytes(), n * 24);
     ThreadPool pool(2);
-    Rng rng_plain(23);
-    Rng rng_pre(23);
+    Rng rng_serial(23);
+    Rng rng_pooled(23);
     for (size_t i = 0; i < n; ++i) {
-      auto a = RecursivePirRead(plain.ptrs, *g, i, &rng_plain);
-      auto b = RecursivePirRead(pre.ptrs, *g, i, &rng_pre, &pool);
+      auto a = RecursivePirRead(serial.ptrs, *g, i, &rng_serial);
+      auto b = RecursivePirRead(pooled.ptrs, *g, i, &rng_pooled, &pool);
       ASSERT_TRUE(a.ok() && b.ok()) << "n=" << n << " i=" << i;
       EXPECT_EQ(*a, *b) << "n=" << n << " i=" << i;
       EXPECT_EQ(*a, records[i]) << "n=" << n << " i=" << i;
@@ -342,7 +341,7 @@ TEST(RecursivePirTest, TranscriptsAreByteIdenticalAtAnyThreadCount) {
   std::vector<std::vector<uint8_t>> serial_answers;
   std::vector<std::vector<std::vector<uint8_t>>> serial_views;
   for (size_t threads : {0u, 1u, 2u, 8u}) {
-    Fleet fleet = MakeFleet(records, 2, /*preprocess=*/true);
+    Fleet fleet = MakeFleet(records, 2);
     for (auto* s : fleet.ptrs) s->EnableObservationLog(indices.size());
     Rng rng(29);
     PirSessionRegistry sessions;
@@ -420,7 +419,6 @@ TEST(EpochRecursivePirTest, RecursiveReaderServesFlipsAndInvalidates) {
 
   EpochPirOptions options;
   options.dimensions = 2;
-  options.preprocess = true;
   options.tenant_class = 1;
   EpochPirReader reader(db->manager(), options);
   EpochPirReader flat_reader(db->manager());  // d = 1, the 2-server scheme
@@ -458,7 +456,7 @@ TEST(EpochRecursivePirTest, RecursiveReaderServesFlipsAndInvalidates) {
     EXPECT_EQ(bad_reader.replica_builds(), 0u);
   }
 
-  // Flip the epoch: the reader rebuilds replicas, re-preprocesses, and
+  // Flip the epoch: the reader rebuilds the replica's layout and
   // invalidates stale session scratch, and reads stay correct.
   ASSERT_TRUE(
       db->SubmitMutation(RowMutation::Update(0, {170, 70, 150, "N"})).ok());

@@ -75,6 +75,21 @@ TEST(RandomizedResponseTest, RejectsBadInput) {
   EXPECT_TRUE(refused(EstimateTrueDistribution(data, 5, 0.5, {"N", "N"})));
   EXPECT_TRUE(refused(EstimateTrueDistribution(data, 6, 0.5, {"N", "Y"})));
   EXPECT_TRUE(refused(ObservedDistribution(data, 6)));
+  // A domain that leaves out a category the column holds: every estimate
+  // would clamp to 0 and skip renormalization ({x: 0}).
+  EXPECT_TRUE(refused(EstimateTrueDistribution(data, 5, 0.5, {"x"})));
+  // A domain category the column never shows stays legal.
+  auto observed = ObservedDistribution(data, 5);
+  ASSERT_TRUE(observed.ok());
+  std::vector<std::string> wider = {"x"};
+  for (const auto& entry : *observed) wider.push_back(entry.first);
+  auto estimate = EstimateTrueDistribution(data, 5, 0.5, wider);
+  ASSERT_TRUE(estimate.ok());
+  EXPECT_EQ(estimate->size(), wider.size());
+  EXPECT_EQ(estimate->at("x"), 0.0);
+  double total = 0.0;
+  for (const auto& entry : *estimate) total += entry.second;
+  EXPECT_NEAR(total, 1.0, 1e-12);
 
   const DataTable trial = MakeClinicalTrial(50, 3);
   EXPECT_TRUE(refused(RandomizedResponseMask(trial, 3, nan, 1)));
