@@ -68,28 +68,6 @@ const DataTable& Census() {
   return table;
 }
 
-/// Mondrian over every numeric column, the categorical QIs demoted, as the
-/// scoreboard's generic-PPDM deployment runs it.
-DataTable MondrianRelease(const DataTable& original) {
-  std::vector<Attribute> attrs = original.schema().attributes();
-  for (Attribute& attr : attrs) {
-    if (attr.type == AttributeType::kCategorical) {
-      if (attr.role == AttributeRole::kQuasiIdentifier) {
-        attr.role = AttributeRole::kNonConfidential;
-      }
-    } else {
-      attr.role = AttributeRole::kQuasiIdentifier;
-    }
-  }
-  DataTable view((Schema(std::move(attrs))));
-  for (size_t r = 0; r < original.num_rows(); ++r) {
-    TRIPRIV_CHECK(view.AppendRow(original.row(r)).ok());
-  }
-  auto mondrian = MondrianAnonymize(view, 5);
-  TRIPRIV_CHECK(mondrian.ok()) << mondrian.status().ToString();
-  return std::move(mondrian->table);
-}
-
 DataTable BuildRelease(Release release) {
   const DataTable& original = Census();
   switch (release) {
@@ -104,8 +82,13 @@ DataTable BuildRelease(Release release) {
       TRIPRIV_CHECK(r.ok()) << r.status().ToString();
       return std::move(*r);
     }
-    case Release::kMondrian:
-      return MondrianRelease(original);
+    case Release::kMondrian: {
+      // Every numeric column recoded, the categorical QIs left alone, as the
+      // scoreboard's generic-PPDM deployment runs it.
+      auto r = MondrianAnonymize(original, 5, NumericCols(original));
+      TRIPRIV_CHECK(r.ok()) << r.status().ToString();
+      return std::move(r->table);
+    }
     case Release::kVerbatim:
       return original;
   }

@@ -56,29 +56,6 @@ std::vector<size_t> NumericCols(const DataTable& t) {
   return out;
 }
 
-/// Mondrian requires every schema QI to be numeric; the census table has
-/// categorical QIs (sex, region). This view promotes every numeric column
-/// (including the confidential payload — condensation-style generic PPDM
-/// generalizes the whole numeric payload) to quasi-identifier and demotes
-/// the categorical QIs to non-confidential so Mondrian can run.
-Result<DataTable> MondrianView(const DataTable& original) {
-  std::vector<Attribute> attrs = original.schema().attributes();
-  for (Attribute& attr : attrs) {
-    if (attr.type == AttributeType::kCategorical) {
-      if (attr.role == AttributeRole::kQuasiIdentifier) {
-        attr.role = AttributeRole::kNonConfidential;
-      }
-    } else {
-      attr.role = AttributeRole::kQuasiIdentifier;
-    }
-  }
-  DataTable view((Schema(std::move(attrs))));
-  for (size_t r = 0; r < original.num_rows(); ++r) {
-    TRIPRIV_RETURN_IF_ERROR(view.AppendRow(original.row(r)));
-  }
-  return view;
-}
-
 /// Randomized response over every categorical confidential column — the
 /// PPDM deployments' treatment of the non-numeric payload.
 Result<DataTable> MaskCategoricalConfidentials(DataTable release, double keep,
@@ -452,12 +429,14 @@ Result<Scoreboard> RunEmpiricalTable2(const DataTable& original,
   }
 
   // Generic non-crypto PPDM: Mondrian k-anonymity; the grouped release
-  // invites bucket reconstruction under rank knowledge.
+  // invites bucket reconstruction under rank knowledge. Mondrian recodes
+  // every numeric column, the confidential payload included, because
+  // condensation-style generic PPDM generalizes the whole numeric payload;
+  // the categorical QIs (sex, region) are left alone.
   {
-    TRIPRIV_ASSIGN_OR_RETURN(DataTable mondrian_input,
-                             MondrianView(original));
     TRIPRIV_ASSIGN_OR_RETURN(
-        auto mondrian, MondrianAnonymize(mondrian_input, config.mondrian_k));
+        auto mondrian, MondrianAnonymize(original, config.mondrian_k,
+                                         NumericCols(original)));
     TRIPRIV_ASSIGN_OR_RETURN(
         mondrian.table,
         MaskCategoricalConfidentials(std::move(mondrian.table),

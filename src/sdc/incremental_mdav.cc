@@ -120,6 +120,15 @@ Result<IncrementalMdavResult> IncrementalMdav(
   if (id_out_of_range) {
     return Status::InvalidArgument("previous group id out of range");
   }
+  // The pooled points, refused when one is not finite. Every inserted or
+  // updated row is pooled, and the bootstrap pools every row, so checking
+  // the pool keeps every epoch finite at O(change) cost.
+  std::vector<std::vector<double>> points(pool_rows.size());
+  for (size_t i = 0; i < pool_rows.size(); ++i) {
+    const double* p = raw.data() + pool_rows[i] * d;
+    points[i].assign(p, p + d);
+  }
+  TRIPRIV_RETURN_IF_ERROR(RequireFinite(points));
 
   // Renumber surviving clean groups 0..m-1 in ascending previous-id order.
   size_t kept = 0;
@@ -137,11 +146,6 @@ Result<IncrementalMdavResult> IncrementalMdav(
     // A lawful MDAV run over the pool alone; pool group g becomes global
     // group kept + g. MdavGroups sees only the pooled points, at their pool
     // positions, so its row-order tie-breaks are unchanged.
-    std::vector<std::vector<double>> points(pool_rows.size());
-    for (size_t i = 0; i < pool_rows.size(); ++i) {
-      const double* p = raw.data() + pool_rows[i] * d;
-      points[i].assign(p, p + d);
-    }
     std::vector<size_t> positions(pool_rows.size());
     std::iota(positions.begin(), positions.end(), 0);
     TRIPRIV_ASSIGN_OR_RETURN(MdavGrouping sub,

@@ -69,8 +69,9 @@ struct IncrementalMdavResult {
 /// run); an epoch has no more groups than rows, so an id at or above the
 /// map's size is kInvalidArgument. `dirty_uids` are the batch's inserted,
 /// updated, and deleted uids — deleted uids are naturally absent from
-/// `uids` but mark their previous group dirty. `workers` shards the MDAV
-/// distance scans (bit-identical at any thread count).
+/// `uids` but mark their previous group dirty. A pooled row with a NaN or
+/// infinite `cols` value is kInvalidArgument (see RequireFinite). `workers`
+/// shards the MDAV distance scans (bit-identical at any thread count).
 Result<IncrementalMdavResult> IncrementalMdav(
     const DataTable& base, const std::vector<uint64_t>& uids,
     const std::vector<size_t>& cols, size_t k,

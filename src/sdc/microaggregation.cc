@@ -225,23 +225,21 @@ Result<MdavGrouping> MdavGroups(const std::vector<std::vector<double>>& points,
   return grouping;
 }
 
-Result<MicroaggregationResult> MdavMicroaggregate(
-    const DataTable& table, size_t k, const std::vector<size_t>& cols,
-    ThreadPool* workers) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (table.num_rows() == 0) {
-    return Status::InvalidArgument("cannot microaggregate an empty table");
+Status RequireFinite(const std::vector<std::vector<double>>& points) {
+  for (const std::vector<double>& point : points) {
+    for (double v : point) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("a grouped value is NaN or infinite");
+      }
+    }
   }
-  if (cols.empty()) {
-    return Status::InvalidArgument("no columns to microaggregate");
-  }
-  TRIPRIV_ASSIGN_OR_RETURN(auto raw, table.NumericMatrix(cols));
-  const size_t n = table.num_rows();
-  std::vector<size_t> rows(n);
-  std::iota(rows.begin(), rows.end(), 0);
-  TRIPRIV_ASSIGN_OR_RETURN(MdavGrouping grouping,
-                           MdavGroups(raw, rows, k, workers));
+  return Status::OK();
+}
 
+Result<MicroaggregationResult> ReplaceByCentroids(
+    const DataTable& table, const std::vector<size_t>& cols,
+    const std::vector<std::vector<double>>& raw, const MdavGrouping& grouping) {
+  const size_t n = table.num_rows();
   MicroaggregationResult result;
   result.table = table;
   result.group_of_row.assign(n, 0);
@@ -250,8 +248,6 @@ Result<MicroaggregationResult> MdavMicroaggregate(
   for (size_t g = 0; g < grouping.groups.size(); ++g) {
     for (size_t row : grouping.groups[g]) result.group_of_row[row] = g;
   }
-  // Replace values by group centroids in the original scale, each summed in
-  // member order.
   std::vector<double> masked(n);
   for (size_t j = 0; j < cols.size(); ++j) {
     for (const std::vector<size_t>& members : grouping.groups) {
@@ -263,6 +259,25 @@ Result<MicroaggregationResult> MdavMicroaggregate(
     TRIPRIV_RETURN_IF_ERROR(result.table.SetNumericColumn(cols[j], masked));
   }
   return result;
+}
+
+Result<MicroaggregationResult> MdavMicroaggregate(
+    const DataTable& table, size_t k, const std::vector<size_t>& cols,
+    ThreadPool* workers) {
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (table.num_rows() == 0) {
+    return Status::InvalidArgument("cannot microaggregate an empty table");
+  }
+  if (cols.empty()) {
+    return Status::InvalidArgument("no columns to microaggregate");
+  }
+  TRIPRIV_ASSIGN_OR_RETURN(auto raw, table.NumericMatrix(cols));
+  TRIPRIV_RETURN_IF_ERROR(RequireFinite(raw));
+  std::vector<size_t> rows(table.num_rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  TRIPRIV_ASSIGN_OR_RETURN(MdavGrouping grouping,
+                           MdavGroups(raw, rows, k, workers));
+  return ReplaceByCentroids(table, cols, raw, grouping);
 }
 
 Result<MicroaggregationResult> MdavMicroaggregate(const DataTable& table,
@@ -279,6 +294,11 @@ Result<std::vector<size_t>> OptimalUnivariateGroups(
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   const size_t n = values.size();
   if (n == 0) return Status::InvalidArgument("empty input");
+  for (double v : values) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("a grouped value is NaN or infinite");
+    }
+  }
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),

@@ -64,11 +64,29 @@ Result<MdavGrouping> MdavGroups(const std::vector<std::vector<double>>& points,
                                 const std::vector<size_t>& pool, size_t k,
                                 ThreadPool* workers = nullptr);
 
+/// kInvalidArgument unless every value of `points` is finite. Every
+/// grouping driver (MDAV, partitioned and incremental MDAV, Mondrian; the
+/// optimal univariate grouping checks its one column the same way) runs it
+/// before any sort, standardization or centroid: a NaN key breaks the
+/// strict weak order a sort needs, and a NaN column standardizes to zeros
+/// and masks to NaN centroids. The message is a constant: no cell reaches
+/// it.
+Status RequireFinite(const std::vector<std::vector<double>>& points);
+
+/// The release an MDAV grouping defines: `table` with each row's `cols`
+/// values replaced by its group's centroid in the original scale, where
+/// `raw[r][j]` is row r's value of cols[j] and every row is in exactly one
+/// group. Each centroid sums its members in member order; one
+/// SetNumericColumn per column then writes the release. Group g of
+/// `grouping` is group g of the result.
+Result<MicroaggregationResult> ReplaceByCentroids(
+    const DataTable& table, const std::vector<size_t>& cols,
+    const std::vector<std::vector<double>>& raw, const MdavGrouping& grouping);
+
 /// MDAV-generic over the numeric columns `cols`: `MdavGroups` over every
-/// row, then each row's `cols` values replaced by its group centroid in
-/// the original scale. Requires k >= 1, all `cols` numeric, and at least
-/// one row. `workers` shards the distance scans as in `MdavGroups`; the
-/// result is bit-identical at any thread count.
+/// row, then `ReplaceByCentroids`. Requires k >= 1, all `cols` numeric and
+/// finite, and at least one row. `workers` shards the distance scans as in
+/// `MdavGroups`; the result is bit-identical at any thread count.
 Result<MicroaggregationResult> MdavMicroaggregate(
     const DataTable& table, size_t k, const std::vector<size_t>& cols,
     ThreadPool* workers = nullptr);
@@ -84,6 +102,7 @@ Result<MicroaggregationResult> MdavMicroaggregate(const DataTable& table,
 /// Optimal univariate microaggregation of `values` (Hansen-Mukherjee):
 /// returns the group id per element minimizing total within-group SSE under
 /// the size constraint [k, 2k-1]. Group ids follow ascending value order.
+/// A NaN or infinite value is kInvalidArgument, as in RequireFinite.
 Result<std::vector<size_t>> OptimalUnivariateGroups(
     const std::vector<double>& values, size_t k);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sdc/microaggregation.h"
 #include "stats/descriptive.h"
 
 namespace tripriv {
@@ -58,22 +59,21 @@ void Partition(Context* ctx, std::vector<size_t> rows) {
 
 }  // namespace
 
-Result<MondrianResult> MondrianAnonymize(const DataTable& table, size_t k) {
+Result<MondrianResult> MondrianAnonymize(const DataTable& table, size_t k,
+                                         const std::vector<size_t>& cols) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (table.num_rows() == 0) {
     return Status::InvalidArgument("cannot anonymize an empty table");
   }
-  const std::vector<size_t> qi = table.schema().QuasiIdentifierIndices();
-  if (qi.empty()) {
-    return Status::FailedPrecondition("schema declares no quasi-identifiers");
-  }
-  TRIPRIV_ASSIGN_OR_RETURN(auto data, table.NumericMatrix(qi));
+  if (cols.empty()) return Status::InvalidArgument("no columns to recode");
+  TRIPRIV_ASSIGN_OR_RETURN(auto data, table.NumericMatrix(cols));
+  TRIPRIV_RETURN_IF_ERROR(RequireFinite(data));
 
   Context ctx;
   ctx.data = &data;
   ctx.k = k;
-  ctx.col_range.resize(qi.size());
-  for (size_t j = 0; j < qi.size(); ++j) {
+  ctx.col_range.resize(cols.size());
+  for (size_t j = 0; j < cols.size(); ++j) {
     double lo = data[0][j];
     double hi = lo;
     for (const auto& row : data) {
@@ -92,9 +92,9 @@ Result<MondrianResult> MondrianAnonymize(const DataTable& table, size_t k) {
   result.num_groups = ctx.leaves.size();
   std::vector<std::vector<double>> masked = data;
   for (size_t g = 0; g < ctx.leaves.size(); ++g) {
-    std::vector<double> centroid(qi.size(), 0.0);
+    std::vector<double> centroid(cols.size(), 0.0);
     for (size_t r : ctx.leaves[g]) {
-      for (size_t j = 0; j < qi.size(); ++j) centroid[j] += data[r][j];
+      for (size_t j = 0; j < cols.size(); ++j) centroid[j] += data[r][j];
     }
     for (double& v : centroid) v /= static_cast<double>(ctx.leaves[g].size());
     for (size_t r : ctx.leaves[g]) {
@@ -102,12 +102,20 @@ Result<MondrianResult> MondrianAnonymize(const DataTable& table, size_t k) {
       masked[r] = centroid;
     }
   }
-  for (size_t j = 0; j < qi.size(); ++j) {
+  for (size_t j = 0; j < cols.size(); ++j) {
     std::vector<double> col(table.num_rows());
     for (size_t r = 0; r < table.num_rows(); ++r) col[r] = masked[r][j];
-    TRIPRIV_RETURN_IF_ERROR(result.table.SetNumericColumn(qi[j], col));
+    TRIPRIV_RETURN_IF_ERROR(result.table.SetNumericColumn(cols[j], col));
   }
   return result;
+}
+
+Result<MondrianResult> MondrianAnonymize(const DataTable& table, size_t k) {
+  const std::vector<size_t> qi = table.schema().QuasiIdentifierIndices();
+  if (qi.empty()) {
+    return Status::FailedPrecondition("schema declares no quasi-identifiers");
+  }
+  return MondrianAnonymize(table, k, qi);
 }
 
 }  // namespace tripriv

@@ -16,15 +16,21 @@ namespace tripriv {
 
 /// Result of Mondrian anonymization.
 struct MondrianResult {
-  /// Table with each partition's quasi-identifier values replaced by the
-  /// partition centroid (so the output is k-anonymous on the QIs).
+  /// Table with each partition's values of the recoded columns replaced by
+  /// the partition centroid (so the output is k-anonymous on them).
   DataTable table;
   std::vector<size_t> group_of_row;
   size_t num_groups = 0;
 };
 
-/// Runs strict Mondrian over the schema's quasi-identifiers, which must all
-/// be numeric. Requires k >= 1 and a non-empty table.
+/// Runs strict Mondrian over the columns `cols`, which must all be numeric
+/// and finite, and recodes exactly those columns; every other column is
+/// released as is. Requires k >= 1, a non-empty table and at least one
+/// column.
+Result<MondrianResult> MondrianAnonymize(const DataTable& table, size_t k,
+                                         const std::vector<size_t>& cols);
+
+/// Mondrian over the schema's quasi-identifiers (all must be numeric).
 Result<MondrianResult> MondrianAnonymize(const DataTable& table, size_t k);
 
 }  // namespace tripriv

@@ -71,66 +71,41 @@ Result<MicroaggregationResult> PartitionedMdav(
         "max_partition_rows must be >= 2k so every partition fits two "
         "groups");
   }
-  if (table.num_rows() <= max_partition_rows) {
-    // One partition: exact MDAV (and the parallel distance scans with it).
-    return MdavMicroaggregate(table, k, cols, workers);
-  }
   TRIPRIV_ASSIGN_OR_RETURN(auto matrix, table.NumericMatrix(cols));
+  TRIPRIV_RETURN_IF_ERROR(RequireFinite(matrix));
 
   std::vector<size_t> all(table.num_rows());
   for (size_t r = 0; r < all.size(); ++r) all[r] = r;
   std::vector<std::vector<size_t>> partitions;
   SplitRows(matrix, std::move(all), max_partition_rows, &partitions);
 
-  // Pure per-partition stage: slot p holds partition p's exact-MDAV result.
-  // The inner MDAV runs serially (ParallelFor does not nest); determinism
-  // comes from the per-slot writes and the partition-order merge below.
-  std::vector<Result<MicroaggregationResult>> slots;
-  slots.reserve(partitions.size());
-  for (size_t p = 0; p < partitions.size(); ++p) {
-    slots.emplace_back(Status::Internal("partition not processed"));
-  }
-  const auto run_partition = [&](size_t p) {
-    DataTable sub = table.SelectRows(partitions[p]);
-    slots[p] = MdavMicroaggregate(sub, k, cols, nullptr);
-  };
-  if (workers != nullptr && workers->num_threads() > 0) {
-    workers->ParallelFor(partitions.size(),
-                         [&](size_t /*shard*/, size_t begin, size_t end) {
-                           for (size_t p = begin; p < end; ++p) {
-                             run_partition(p);
-                           }
-                         });
-  } else {
-    for (size_t p = 0; p < partitions.size(); ++p) run_partition(p);
-  }
-
-  // Serial merge in partition order.
-  MicroaggregationResult merged;
-  merged.table = table;
-  merged.group_of_row.assign(table.num_rows(), 0);
-  for (size_t p = 0; p < partitions.size(); ++p) {
-    TRIPRIV_RETURN_IF_ERROR(slots[p].status());
-    const MicroaggregationResult& part = *slots[p];
-    const std::vector<size_t>& rows = partitions[p];
-    for (size_t i = 0; i < rows.size(); ++i) {
-      merged.group_of_row[rows[i]] = merged.num_groups + part.group_of_row[i];
-      for (size_t c : cols) {
-        TRIPRIV_RETURN_IF_ERROR(
-            merged.table.Set(rows[i], c, part.table.at(i, c)));
-      }
+  // Pure per-partition stage: slot p holds the MDAV grouping of partition
+  // p, standardized over the partition alone. Each MdavGroups runs serially
+  // (ParallelFor does not nest); determinism comes from the per-slot writes
+  // and the partition-order merge below.
+  std::vector<Result<MdavGrouping>> slots(
+      partitions.size(), Status::Internal("partition not processed"));
+  const auto run_partitions = [&](size_t /*shard*/, size_t begin, size_t end) {
+    for (size_t p = begin; p < end; ++p) {
+      slots[p] = MdavGroups(matrix, partitions[p], k);
     }
-    merged.num_groups += part.num_groups;
-    merged.within_group_sse += part.within_group_sse;
+  };
+  if (workers != nullptr) {
+    workers->ParallelFor(partitions.size(), run_partitions);
+  } else {
+    run_partitions(0, 0, partitions.size());
   }
-  return merged;
-}
 
-Result<MicroaggregationResult> PartitionedMdav(const DataTable& table,
-                                               size_t k, ThreadPool* workers,
-                                               size_t max_partition_rows) {
-  return PartitionedMdav(table, k, table.schema().QuasiIdentifierIndices(),
-                         workers, max_partition_rows);
+  // Serial merge in partition order, then one masking pass.
+  MdavGrouping merged;
+  for (Result<MdavGrouping>& slot : slots) {
+    TRIPRIV_RETURN_IF_ERROR(slot.status());
+    for (std::vector<size_t>& members : slot->groups) {
+      merged.groups.push_back(std::move(members));
+    }
+    merged.within_group_sse += slot->within_group_sse;
+  }
+  return ReplaceByCentroids(table, cols, matrix, merged);
 }
 
 }  // namespace tripriv

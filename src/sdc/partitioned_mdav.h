@@ -11,10 +11,15 @@
 // with plain MDAV; only the grouping objective is approximated (records
 // never cross a partition boundary to join a closer group).
 //
-// Determinism: the split ranks ties by row index, partitions are processed
-// through ParallelFor with per-partition result slots merged in partition
-// order, and the per-partition MDAV is the serial exact algorithm — the
-// output table is byte-identical at 0/1/2/8 threads.
+// The QI matrix is read once. Each partition is grouped in place by
+// `MdavGroups` over its row list (standardized over the partition alone),
+// and the merged grouping is masked once by `ReplaceByCentroids`, MDAV's
+// own centroid step.
+//
+// Determinism: the split ranks ties by row index, partitions are grouped
+// through ParallelFor with one result slot each, merged in partition order,
+// and each grouping is the serial exact algorithm — the output table is
+// byte-identical at 0/1/2/8 threads.
 
 #pragma once
 
@@ -28,18 +33,13 @@ namespace tripriv {
 class ThreadPool;
 
 /// MDAV with median-split partitioning (see file comment). Requires k >= 1,
-/// all `cols` numeric, at least one row, and max_partition_rows >= 2k (a
-/// partition must be able to hold two groups, or splitting it could strand
-/// fewer than k records). Groups are numbered partition-major, so
-/// group_of_row is stable across thread counts. within_group_sse is the sum
-/// of the per-partition standardized SSEs.
+/// all `cols` numeric and finite, at least one row, and
+/// max_partition_rows >= 2k (a partition must be able to hold two groups,
+/// or splitting it could strand fewer than k records). Groups are numbered
+/// partition-major, so group_of_row is stable across thread counts.
+/// within_group_sse is the sum of the per-partition standardized SSEs.
 Result<MicroaggregationResult> PartitionedMdav(
     const DataTable& table, size_t k, const std::vector<size_t>& cols,
     ThreadPool* workers = nullptr, size_t max_partition_rows = 2048);
-
-/// PartitionedMdav over the schema's quasi-identifiers.
-Result<MicroaggregationResult> PartitionedMdav(const DataTable& table,
-                                               size_t k, ThreadPool* workers,
-                                               size_t max_partition_rows);
 
 }  // namespace tripriv

@@ -102,10 +102,10 @@ class EpochedDatabase {
   /// outlive it and may hold the torn remains of a crashed predecessor.
   /// With no committed flip in the WAL, epoch 1 is bootstrapped from
   /// `initial_base` (full MDAV + gate; a base that cannot meet k is
-  /// refused with kFailedPrecondition — the database never starts
-  /// unprotected). With a committed flip, the last committed epoch is
-  /// adopted from the store, checksum-verified, and `initial_base` is
-  /// ignored.
+  /// refused with kFailedPrecondition, one with a NaN or infinite QI value
+  /// with kInvalidArgument — the database never starts unprotected). With
+  /// a committed flip, the last committed epoch is adopted from the store,
+  /// checksum-verified, and `initial_base` is ignored.
   static Result<EpochedDatabase> Create(const DataTable& initial_base,
                                         EpochConfig config, WalIo* wal_io,
                                         EpochStore* store);

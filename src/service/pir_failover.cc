@@ -1,5 +1,7 @@
 #include "service/pir_failover.h"
 
+#include <algorithm>
+
 #include "util/checksum.h"
 
 namespace tripriv {
@@ -17,12 +19,13 @@ Result<std::vector<std::vector<uint8_t>>> ChecksumRecords(
     if (r.size() != payload_size) {
       return Status::InvalidArgument("records must have equal length");
     }
-    std::vector<uint8_t> with_sum = r;
+    // Sized once: the payload, then the sum's 8 bytes little-endian.
+    std::vector<uint8_t>& with_sum = stored.emplace_back(payload_size + 8);
+    std::copy(r.begin(), r.end(), with_sum.begin());
     const uint64_t sum = Fnv1a64(r.data(), r.size());
-    for (int i = 0; i < 8; ++i) {
-      with_sum.push_back(static_cast<uint8_t>(sum >> (8 * i)));
+    for (size_t i = 0; i < 8; ++i) {
+      with_sum[payload_size + i] = static_cast<uint8_t>(sum >> (8 * i));
     }
-    stored.push_back(std::move(with_sum));
   }
   return stored;
 }

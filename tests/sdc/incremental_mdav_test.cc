@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -165,6 +166,44 @@ TEST(IncrementalMdavTest, TinyTableDegeneratesToOneGroup) {
   EXPECT_EQ(r->num_groups, 1u);
   // min_group_size < k: exactly what the flip gate refuses.
   EXPECT_LT(r->min_group_size, 3u);
+}
+
+TEST(IncrementalMdavTest, RefusesNonFinitePooledValues) {
+  // The bootstrap pools every row, and a flip pools every inserted or
+  // updated row, so a NaN or an infinity is refused where it enters.
+  const DataTable census = MakeCensusScale(400, 11);
+  const size_t weight = *census.schema().IndexOf("survey_weight");
+  const std::vector<size_t> cols = {0, 1, 2, weight};
+  const std::vector<uint64_t> uids = IdentityUids(400);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    DataTable poisoned = census;
+    ASSERT_TRUE(poisoned.Set(123, weight, Value(bad)).ok());
+    auto bootstrap = IncrementalMdav(poisoned, uids, cols, 5, {}, {});
+    EXPECT_EQ(bootstrap.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(bootstrap.status().message(),
+              "a grouped value is NaN or infinite");
+  }
+
+  auto prev = IncrementalMdav(census, uids, cols, 5, {}, {});
+  ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+  const auto prev_map = GroupOfUid(uids, prev->group_of_row);
+  // An inserted NaN row: a pool of one, below k.
+  DataTable inserted = census;
+  std::vector<Value> row = census.row(0);
+  row[weight] = Value(std::numeric_limits<double>::quiet_NaN());
+  ASSERT_TRUE(inserted.AppendRow(row).ok());
+  std::vector<uint64_t> grown = uids;
+  grown.push_back(400);
+  auto next = IncrementalMdav(inserted, grown, cols, 5, prev_map, {400});
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+  // An updated row that becomes infinite: its whole group is pooled.
+  DataTable updated = census;
+  ASSERT_TRUE(
+      updated.Set(7, weight, Value(-std::numeric_limits<double>::infinity()))
+          .ok());
+  next = IncrementalMdav(updated, uids, cols, 5, prev_map, {7});
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(IncrementalMdavTest, GroupingIsBitIdenticalAcrossThreadCounts) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -56,6 +57,27 @@ TEST(MondrianTest, ErrorsOnBadInput) {
   auto t = DataTable::FromRows(no_qi, {{1}});
   ASSERT_TRUE(t.ok());
   EXPECT_FALSE(MondrianAnonymize(*t, 2).ok());
+}
+
+TEST(MondrianTest, RefusesNonFiniteValues) {
+  // A NaN sort key breaks the strict weak order the median split needs.
+  Schema reals({{"x", AttributeType::kReal, AttributeRole::kQuasiIdentifier},
+                {"y", AttributeType::kReal, AttributeRole::kQuasiIdentifier}});
+  DataTable data(reals);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(data.AppendRow({Value((i * 37) % 101 * 1.5),
+                                Value((i * 11) % 53 * 0.25)})
+                    .ok());
+  }
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    DataTable poisoned = data;
+    ASSERT_TRUE(poisoned.Set(1000, 1, Value(bad)).ok());
+    const auto got = MondrianAnonymize(poisoned, 5);
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(), "a grouped value is NaN or infinite");
+  }
 }
 
 TEST(NoiseTest, UncorrelatedNoiseScalesWithAlpha) {

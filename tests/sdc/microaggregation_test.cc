@@ -1,6 +1,7 @@
 #include "sdc/microaggregation.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <string>
@@ -288,6 +289,25 @@ TEST(MdavTest, ErrorsOnBadInput) {
   EXPECT_FALSE(MdavMicroaggregate(empty, 3).ok());
 }
 
+TEST(MdavTest, RefusesNonFiniteValues) {
+  // A NaN column would standardize to all zeros and mask to NaN centroids;
+  // MDAV refuses it, and any infinity, before it groups anything.
+  const DataTable census = MakeCensusScale(3000, 11);
+  const size_t weight = *census.schema().IndexOf("survey_weight");
+  const std::vector<size_t> cols = {0, 1, 2, weight};
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    DataTable poisoned = census;
+    for (size_t r = 0; r < poisoned.num_rows(); r += 7) {
+      ASSERT_TRUE(poisoned.Set(r, weight, Value(bad)).ok());
+    }
+    const auto got = MdavMicroaggregate(poisoned, 5, cols);
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(), "a grouped value is NaN or infinite");
+  }
+}
+
 TEST(MdavReferenceTest, MatchesFullSortAroundTwoAndThreeK) {
   // Pool sizes at and around 2k and 3k walk every exit of the main loop:
   // two groups per round, one extra group, and the < 2k remainder.
@@ -429,6 +449,27 @@ TEST(OptimalUnivariateTest, BeatsOrTiesMdavOnSse) {
   ASSERT_TRUE(optimal.ok());
   ASSERT_TRUE(mdav.ok());
   EXPECT_LE(optimal->within_group_sse, mdav->within_group_sse + 1e-9);
+}
+
+TEST(OptimalUnivariateTest, RefusesNonFiniteValues) {
+  // A NaN key would break the sort's strict weak order and mask the whole
+  // column to NaN in one group.
+  Schema reals({{"x", AttributeType::kReal, AttributeRole::kQuasiIdentifier}});
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> values;
+    DataTable table(reals);
+    for (int i = 0; i < 300; ++i) {
+      values.push_back(i % 7 == 3 ? bad : (i * 37) % 101 * 0.5);
+      ASSERT_TRUE(table.AppendRow({Value(values.back())}).ok());
+    }
+    EXPECT_EQ(OptimalUnivariateGroups(values, 5).status().code(),
+              StatusCode::kInvalidArgument);
+    const auto masked = OptimalUnivariateMicroaggregate(table, 5, 0);
+    EXPECT_EQ(masked.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(masked.status().message(), "a grouped value is NaN or infinite");
+  }
 }
 
 TEST(OptimalUnivariateTest, TinyInputSingleGroup) {

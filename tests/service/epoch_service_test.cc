@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -191,6 +192,69 @@ TEST(EpochServiceTest, PoisonedBatchIsDroppedWithItsTypedError) {
   // The database still flips cleanly afterwards.
   ASSERT_TRUE(db->SubmitMutation(RowMutation::Delete(0)).ok());
   EXPECT_TRUE(db->Flip().ok());
+}
+
+/// The census-scale epoch: k = 5 over the four numeric quasi-identifiers.
+EpochConfig CensusScaleConfig(const DataTable& census) {
+  EpochConfig config;
+  config.k = 5;
+  for (const char* name :
+       {"age", "education_years", "hours_per_week", "survey_weight"}) {
+    config.qi_cols.push_back(*census.schema().IndexOf(name));
+  }
+  return config;
+}
+
+TEST(EpochServiceTest, NonFiniteWriteIsDroppedAndLaterFlipsCommit) {
+  // One insert with a NaN survey weight. Were it masked, its group's
+  // centroid would be NaN, the k-gate would refuse the candidate, and the
+  // batch would come back on every flip, so no write could commit again.
+  // It is an invalid batch instead: dropped, and the next flip commits.
+  const DataTable census = MakeCensusScale(2000, 11);
+  const size_t weight = *census.schema().IndexOf("survey_weight");
+  MemWalIo wal;
+  EpochStore store;
+  auto db = EpochedDatabase::Create(census, CensusScaleConfig(census), &wal,
+                                    &store);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::vector<Value> poisoned = census.row(0);
+  poisoned[weight] = Value(std::numeric_limits<double>::quiet_NaN());
+  ASSERT_TRUE(db->SubmitMutation(RowMutation::Insert(poisoned)).ok());
+  auto flipped = db->Flip();
+  EXPECT_EQ(flipped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db->epoch(), 1u);
+  EXPECT_EQ(db->pending_mutations(), 0u);
+  EXPECT_EQ(db->stats().flips_refused_io, 1u);
+  EXPECT_EQ(db->stats().flips_refused_privacy, 0u);
+  auto recovered = AuditWal::Recover(&wal);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->records.back().type, WalRecordType::kEpochFlipAbort);
+  EXPECT_EQ(static_cast<WalFlipAbortReason>(recovered->records.back().decision),
+            WalFlipAbortReason::kIo);
+
+  for (size_t round = 0; round < 4; ++round) {
+    ASSERT_TRUE(
+        db->SubmitMutation(RowMutation::Insert(census.row(round + 1))).ok());
+    auto next = db->Flip();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(*next, round + 2);
+  }
+  EXPECT_EQ(db->Pin()->base.num_rows(), 2004u);
+  EXPECT_TRUE(IsKAnonymous(db->Pin()->protected_table, 5,
+                           CensusScaleConfig(census).qi_cols));
+}
+
+TEST(EpochServiceTest, NonFiniteInitialBaseIsRefusedAsInvalid) {
+  DataTable census = MakeCensusScale(2000, 11);
+  const size_t weight = *census.schema().IndexOf("survey_weight");
+  ASSERT_TRUE(
+      census.Set(9, weight, Value(std::numeric_limits<double>::infinity()))
+          .ok());
+  MemWalIo wal;
+  EpochStore store;
+  auto db = EpochedDatabase::Create(census, CensusScaleConfig(census), &wal,
+                                    &store);
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EpochServiceTest, StoreSyncFaultIsATypedIoRefusal) {
