@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <cstdint>
 
 #include "pir/xor_kernel.h"
 #include "util/thread_pool.h"
@@ -33,6 +33,9 @@ void ForEachSelected(const std::vector<uint8_t>& selection, size_t begin,
 /// costs more than the kernel saves.
 constexpr size_t kMinParallelAnswerBytes = 1 << 15;
 
+/// Words of one sweep tile: 256 bytes of running XOR held locally.
+constexpr size_t kTileWords = 32;
+
 }  // namespace
 
 std::vector<uint8_t> RandomSelectionBits(size_t n, Rng* rng) {
@@ -58,23 +61,40 @@ void FlipSelectionBit(std::vector<uint8_t>* bits, size_t i) {
 
 Result<XorPirServer> XorPirServer::Create(
     std::vector<std::vector<uint8_t>> records) {
-  if (records.empty()) return Status::InvalidArgument("empty database");
-  const size_t size = records[0].size();
-  if (size == 0) return Status::InvalidArgument("records must be non-empty");
-  for (const auto& r : records) {
-    if (r.size() != size) {
-      return Status::InvalidArgument("records must have equal length");
+  // An empty database or first record is refused by the in-place form.
+  if (!records.empty() && !records[0].empty()) {
+    for (const auto& r : records) {
+      if (r.size() != records[0].size()) {
+        return Status::InvalidArgument("records must have equal length");
+      }
     }
   }
+  return Create(records.size(), records.empty() ? 0 : records[0].size(),
+                [&records](size_t i, uint8_t* out) {
+                  std::copy(records[i].begin(), records[i].end(), out);
+                });
+}
+
+Result<XorPirServer> XorPirServer::Create(
+    size_t num_records, size_t record_size,
+    const std::function<void(size_t i, uint8_t* out)>& write) {
+  if (num_records == 0) return Status::InvalidArgument("empty database");
+  if (record_size == 0) {
+    return Status::InvalidArgument("records must be non-empty");
+  }
+  // The layout's size must not wrap: a wrapped size would under-allocate.
+  const size_t stride = (record_size + 7) / 8 * 8;
+  if (stride < record_size || num_records > SIZE_MAX / stride) {
+    return Status::InvalidArgument("database too large");
+  }
   XorPirServer server;
-  server.num_records_ = records.size();
-  server.record_size_ = size;
-  server.stride_ = (size + 7) / 8 * 8;
-  server.dense_ = AlignedWordBuffer(records.size() * server.stride_ / 8);
+  server.num_records_ = num_records;
+  server.record_size_ = record_size;
+  server.stride_ = stride;
+  server.dense_ = AlignedWordBuffer(num_records * stride / 8);
   uint8_t* out = server.dense_.bytes();
-  for (const std::vector<uint8_t>& record : records) {
-    std::memcpy(out, record.data(), size);
-    out += server.stride_;
+  for (size_t i = 0; i < num_records; ++i, out += server.stride_) {
+    write(i, out);
   }
   return server;
 }
@@ -122,12 +142,20 @@ const std::vector<uint8_t>& XorPirServer::last_observed_query() const {
 void XorPirServer::AccumulateRange(const std::vector<uint8_t>& selection,
                                    size_t begin, size_t end,
                                    uint8_t* acc) const {
-  const uint8_t* dense = dense_.bytes();
-  const size_t stride = stride_;
-  const size_t size = record_size();
-  ForEachSelected(selection, begin, end, [&](size_t i) {
-    XorBytesInto(acc, dense + i * stride, size);
-  });
+  // The stride padding is zero, so a tile XORs whole words and only the
+  // record's own bytes are written back.
+  const size_t stride_words = stride_ / 8;
+  for (size_t first = 0; first < stride_words; first += kTileWords) {
+    const size_t width = std::min(kTileWords, stride_words - first);
+    const uint64_t* words = dense_.data() + first;
+    uint64_t tile[kTileWords] = {};
+    ForEachSelected(selection, begin, end, [&](size_t i) {
+      const uint64_t* record = words + i * stride_words;
+      for (size_t w = 0; w < width; ++w) tile[w] ^= record[w];
+    });
+    XorBytesInto(acc + 8 * first, reinterpret_cast<const uint8_t*>(tile),
+                 std::min(8 * width, record_size_ - 8 * first));
+  }
 }
 
 Result<std::vector<uint8_t>> XorPirServer::ComputeAnswer(

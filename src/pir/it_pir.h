@@ -9,13 +9,14 @@
 // 2-server scheme is its d = 1 case (replica 0 expands a random subset S
 // from a 64-bit seed, replica 1 gets S xor {i}), and the 4-server cube its
 // d = 2 case.
-// The answer path is the system's steady-state hot loop: a blocked,
-// word-wide XOR kernel (pir/xor_kernel.h), optionally sharded across a
-// ThreadPool with per-shard partial accumulators merged in fixed shard
-// order, so the answer is bit-identical at any thread count. Create copies
-// the records into one dense, word-strided buffer (the XOR analog of
-// SealPIR's preprocess_ntt), the server's only record store, which the
-// sweep streams front to back.
+// The answer path is the system's steady-state hot loop. Create writes the
+// records into one dense, word-strided buffer (the XOR analog of SealPIR's
+// preprocess_ntt), the server's only record store, which the sweep streams
+// front to back: each selected record's words are XORed into a local tile
+// of at most 256 bytes, and the tile reaches the answer once per sweep (a
+// wider record walks the selection once per tile). The sweep is optionally
+// sharded across a ThreadPool with per-shard partial accumulators merged in
+// fixed shard order, so the answer is bit-identical at any thread count.
 //
 // Recording what a server observed (its view of the protocol, used by the
 // evaluation harness and the attack demos) is opt-in and bounded: under
@@ -26,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/annotations.h"
@@ -57,6 +59,16 @@ class XorPirServer {
   /// memory traffic, so the layout stores each record once and nothing
   /// else. A copy of the server owns a copy of the layout.
   static Result<XorPirServer> Create(std::vector<std::vector<uint8_t>> records);
+
+  /// The in-place form, which the records form calls: builds the layout of
+  /// `num_records` records of `record_size` bytes by calling `write(i, out)`
+  /// once per record, in index order, to write record i's `record_size`
+  /// bytes at `out`; the stride padding stays zero. Requires num_records >= 1
+  /// and record_size >= 1, and refuses a layout whose byte size would not
+  /// fit in size_t.
+  static Result<XorPirServer> Create(
+      size_t num_records, size_t record_size,
+      const std::function<void(size_t i, uint8_t* out)>& write);
 
   size_t num_records() const { return num_records_; }
   size_t record_size() const { return record_size_; }
@@ -124,7 +136,9 @@ class XorPirServer {
 
  private:
   /// XORs the records selected in [begin, end) into `acc` (record_size()
-  /// bytes): one walk over the set bits, 64 selection bits per word.
+  /// bytes). The running XOR stays in a local tile of at most 32 words
+  /// (256 bytes) and is XORed into `acc` once; a wider record walks the set
+  /// bits (64 selection bits per word) once per tile.
   void AccumulateRange(const std::vector<uint8_t>& selection, size_t begin,
                        size_t end, uint8_t* acc) const;
 

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "pir/xor_kernel.h"
@@ -40,8 +41,8 @@ std::vector<size_t> Strides(const HypercubeGeometry& g) {
 /// are ascending and deeper axes only add to the cell index, so a cell >= n
 /// prunes the rest of its axis level — overhang cells are never even
 /// visited. A row that lies wholly below n is the innermost axis bitmap
-/// itself: it is ORed in at bit offset `base` a byte at a time and counted
-/// by its popcount. Only a last row that overhangs n walks its bits.
+/// itself: it is ORed in at bit offset `base` 64 bits at a time and
+/// counted by its popcount. Only a last row that overhangs n walks its bits.
 struct ProductExpander {
   const std::vector<std::vector<size_t>>& outer;  ///< axes 0 .. d-2
   const std::vector<uint8_t>& row;  ///< innermost axis bitmap, padding zero
@@ -73,16 +74,33 @@ struct ProductExpander {
     }
   }
 
-  /// flat |= row << base. A carry byte is written only when it holds a
-  /// bit, and every bit lands below base + side <= n, inside `flat`.
+  /// flat |= row << base, 64 row bits at a time, then a byte tail. Each
+  /// word's top `shift` bits carry into the next word or byte; the last
+  /// carry byte is written only when it holds a bit. Every bit lands below
+  /// base + side <= n, inside `flat`.
   void OrRow(size_t base) {
     uint8_t* out = flat->data() + base / 8;
     const unsigned shift = base % 8;
-    for (size_t k = 0; k < row.size(); ++k) {
-      out[k] |= static_cast<uint8_t>(row[k] << shift);
-      const uint8_t carry = static_cast<uint8_t>(row[k] >> (8 - shift));
-      if (carry != 0) out[k + 1] |= carry;
+    uint64_t carry = 0;
+    size_t k = 0;
+    // Bitmaps are LSB-first, so 8 bitmap bytes are one word on a
+    // little-endian host; elsewhere the byte loop ORs the whole row.
+    if constexpr (std::endian::native == std::endian::little) {
+      for (; k + 8 <= row.size(); k += 8) {
+        uint64_t bits = 0;
+        uint64_t word = 0;
+        std::memcpy(&bits, row.data() + k, 8);
+        std::memcpy(&word, out + k, 8);
+        word |= bits << shift | carry;
+        std::memcpy(out + k, &word, 8);
+        carry = shift == 0 ? 0 : bits >> (64 - shift);
+      }
     }
+    for (; k < row.size(); ++k) {
+      out[k] |= static_cast<uint8_t>(row[k] << shift | carry);
+      carry = static_cast<uint8_t>(row[k] >> (8 - shift));
+    }
+    if (carry != 0) out[k] |= static_cast<uint8_t>(carry);
   }
 };
 

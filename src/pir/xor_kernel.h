@@ -1,11 +1,13 @@
-// Word-wide XOR kernel for the PIR hot path.
+// Word-wide XOR of two byte ranges, for the PIR answer path.
 //
-// The IT-PIR answer loop is pure XOR-accumulation over record bytes; doing
-// it one byte at a time leaves ~8x of the memory bandwidth on the table.
-// This kernel processes one 32-byte block (4 x uint64_t) per iteration,
-// then a word tail, then a byte tail. memcpy is the alias-safe way to do
-// unaligned word loads and compiles to plain MOVs; byte order never leaks
-// into results because XOR is bytewise.
+// The sweep accumulates selected records in a local word tile
+// (XorPirServer::AccumulateRange); this kernel XORs that tile into the
+// answer, per-shard partials into each other, and replica answers into a
+// reconstruction. Doing it one byte at a time leaves ~8x of the bandwidth
+// on the table, so it processes one 32-byte block (4 x uint64_t) per
+// iteration, then a word tail, then a byte tail. memcpy is the alias-safe
+// way to do unaligned word loads and compiles to plain MOVs; byte order
+// never leaks into results because XOR is bytewise.
 
 #pragma once
 

@@ -5,32 +5,6 @@
 #include "util/checksum.h"
 
 namespace tripriv {
-namespace {
-
-/// Appends the 8-byte FNV-1a integrity suffix to every record so each
-/// server stores checksummed records and any reconstruction is verifiable.
-Result<std::vector<std::vector<uint8_t>>> ChecksumRecords(
-    const std::vector<std::vector<uint8_t>>& records) {
-  if (records.empty()) return Status::InvalidArgument("empty database");
-  const size_t payload_size = records[0].size();
-  std::vector<std::vector<uint8_t>> stored;
-  stored.reserve(records.size());
-  for (const auto& r : records) {
-    if (r.size() != payload_size) {
-      return Status::InvalidArgument("records must have equal length");
-    }
-    // Sized once: the payload, then the sum's 8 bytes little-endian.
-    std::vector<uint8_t>& with_sum = stored.emplace_back(payload_size + 8);
-    std::copy(r.begin(), r.end(), with_sum.begin());
-    const uint64_t sum = Fnv1a64(r.data(), r.size());
-    for (size_t i = 0; i < 8; ++i) {
-      with_sum[payload_size + i] = static_cast<uint8_t>(sum >> (8 * i));
-    }
-  }
-  return stored;
-}
-
-}  // namespace
 
 Result<FailoverPirClient> FailoverPirClient::Build(
     const std::vector<std::vector<uint8_t>>& records, size_t num_pairs,
@@ -47,15 +21,33 @@ Result<FailoverPirClient> FailoverPirClient::BuildRecursive(
   if (num_groups < 1) {
     return Status::InvalidArgument("need at least one server group");
   }
-  TRIPRIV_ASSIGN_OR_RETURN(auto stored, ChecksumRecords(records));
+  if (records.empty()) return Status::InvalidArgument("empty database");
+  const size_t payload_size = records[0].size();
+  for (const auto& r : records) {
+    if (r.size() != payload_size) {
+      return Status::InvalidArgument("records must have equal length");
+    }
+  }
 
   FailoverPirClient client(retry, clock, seed);
   client.num_records_ = records.size();
-  client.payload_size_ = records[0].size();
+  client.payload_size_ = payload_size;
   TRIPRIV_ASSIGN_OR_RETURN(
-      client.geometry_, HypercubeGeometry::Balanced(stored.size(), dimensions));
-  TRIPRIV_ASSIGN_OR_RETURN(XorPirServer first,
-                           XorPirServer::Create(std::move(stored)));
+      client.geometry_,
+      HypercubeGeometry::Balanced(records.size(), dimensions));
+  // Each stored record is the payload, then its FNV-1a sum's 8 bytes
+  // little-endian, written once, straight into the first server's layout,
+  // so any reconstruction is verifiable.
+  auto write_stored = [&records, payload_size](size_t i, uint8_t* out) {
+    std::copy(records[i].begin(), records[i].end(), out);
+    const uint64_t sum = Fnv1a64(records[i].data(), payload_size);
+    for (size_t b = 0; b < 8; ++b) {
+      out[payload_size + b] = static_cast<uint8_t>(sum >> (8 * b));
+    }
+  };
+  TRIPRIV_ASSIGN_OR_RETURN(
+      XorPirServer first,
+      XorPirServer::Create(records.size(), payload_size + 8, write_stored));
   // The other physical servers copy the first one's layout: each owns and
   // streams its own bytes, nothing is aliased.
   const size_t total = client.group_size() * num_groups;

@@ -58,18 +58,25 @@ void ThreadPool::ParallelFor(
     }
     return;
   }
-  // Completion barrier shared by the enqueued shard tasks. Notifying under
-  // the barrier mutex makes the caller's wakeup safe against the barrier
-  // going out of scope while a worker still holds a reference.
+  // Shard 0 runs on the caller and every other shard on a worker, each
+  // queued shard waking one. The completion barrier is shared by the queued
+  // shard tasks; notifying under the barrier mutex makes the caller's
+  // wakeup safe against the barrier going out of scope while a worker still
+  // holds a reference, and the destructor's wait keeps it alive until the
+  // last queued shard finishes even when shard 0 throws.
   struct Barrier {
     std::mutex mu;
     std::condition_variable done;
     size_t remaining = 0;
+    ~Barrier() {
+      std::unique_lock<std::mutex> lock(mu);
+      done.wait(lock, [this] { return remaining == 0; });
+    }
   } barrier;
-  barrier.remaining = shards;
+  barrier.remaining = shards - 1;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t s = 0; s < shards; ++s) {
+    for (size_t s = 1; s < shards; ++s) {
       const auto [begin, end] = shard_bounds(s);
       tasks_.emplace_back([&fn, &barrier, s, begin, end] {
         fn(s, begin, end);
@@ -78,9 +85,10 @@ void ThreadPool::ParallelFor(
       });
     }
   }
-  work_ready_.notify_all();
-  std::unique_lock<std::mutex> lock(barrier.mu);
-  barrier.done.wait(lock, [&barrier] { return barrier.remaining == 0; });
+  for (size_t s = 1; s < shards; ++s) work_ready_.notify_one();
+  const auto [begin, end] = shard_bounds(0);
+  fn(0, begin, end);
+  // ~Barrier waits for the queued shards.
 }
 
 }  // namespace tripriv

@@ -15,10 +15,13 @@
 //     resumes with all shard writes visible (the completion mutex provides
 //     the release/acquire pairing).
 //
-// A pool built with num_threads == 0 runs every shard inline on the calling
+// With two or more shards, the calling thread runs shard 0 and each other
+// shard is queued for a worker, waking one worker per queued shard. A pool
+// built with num_threads == 0 runs every shard inline on the calling
 // thread — the serial reference the parallel determinism suite compares
-// against. ParallelFor must not be called from inside a pool task (a worker
-// waiting on its own pool's queue deadlocks).
+// against — and so does a call with one shard. ParallelFor must not be
+// called from inside a pool task (a worker waiting on its own pool's queue
+// deadlocks).
 
 #pragma once
 
@@ -50,9 +53,9 @@ class ThreadPool {
   size_t NumShards(size_t n) const;
 
   /// Runs `fn(shard, begin, end)` for each of the NumShards(n) contiguous
-  /// shards covering [0, n); blocks until all have finished. Shards on
-  /// distinct workers run concurrently — `fn` must honor the ownership rules
-  /// in the file comment.
+  /// shards covering [0, n); blocks until all have finished. Shard 0 runs
+  /// on the calling thread, concurrently with the other shards on workers —
+  /// `fn` must honor the ownership rules in the file comment.
   void ParallelFor(size_t n,
                    const std::function<void(size_t shard, size_t begin,
                                             size_t end)>& fn);

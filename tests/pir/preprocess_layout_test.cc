@@ -1,17 +1,21 @@
 // The dense layout, XorPirServer's only record store: ComputeAnswer must
 // equal a plain reference XOR for every record size the stride rounds
-// differently, record counts odd, even and off the 8-bit selection bytes,
+// differently, sizes on both sides of the 256-byte sweep tile and past two
+// tiles, record counts odd, even and off the 8-bit selection bytes,
 // selections that stress each end of the set-bit walk, and 0/1/2/8 workers.
-// A failover client holds exactly one layout per physical server, and a
-// copied server shares nothing with its source. This file carries the
-// parallel label, so the TSan leg sweeps shards concurrently.
+// A failover client holds exactly one layout per physical server, each
+// storing every payload with its little-endian FNV-1a suffix, and a copied
+// server shares nothing with its source. This file carries the parallel
+// label, so the TSan leg sweeps shards concurrently.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "pir/it_pir.h"
 #include "service/pir_failover.h"
+#include "util/checksum.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -89,7 +93,7 @@ TEST(PreprocessLayoutTest, DenseAndPlainAnswersAreByteIdentical) {
     pools.push_back(std::make_unique<ThreadPool>(threads));
   }
   Rng rng(71);
-  for (size_t size : {1u, 7u, 8u, 9u, 64u, 72u, 100u}) {
+  for (size_t size : {1u, 7u, 8u, 9u, 64u, 72u, 100u, 255u, 256u, 257u, 520u}) {
     // Counts past 32 KiB of records take the sharded path; the small ones
     // stay serial.
     const size_t sharded = (32768 / size + 7) / 8 * 8;
@@ -175,6 +179,72 @@ TEST(PreprocessLayoutTest, EveryReplicaOwnsOneLayoutAndCopiesShareNothing) {
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(source->record(i), records[i]) << "record " << i;
     EXPECT_EQ(copy.record(i), records[i]) << "record " << i;
+  }
+}
+
+TEST(PreprocessLayoutTest, StoredRecordsArePayloadThenLittleEndianFnv1a) {
+  for (size_t size : {0u, 13u, 64u}) {
+    const auto records = MakeRecords(70, size, 9 + size);
+    SimClock clock;
+    auto client = FailoverPirClient::BuildRecursive(
+        records, /*num_groups=*/2, /*dimensions=*/2, RetryPolicy{}, &clock,
+        /*seed=*/3);
+    ASSERT_TRUE(client.ok()) << "size=" << size;
+    const size_t servers = client->num_groups() * client->group_size();
+    for (size_t s = 0; s < servers; ++s) {
+      ASSERT_EQ(client->server(s).record_size(), size + 8);
+      for (size_t i = 0; i < records.size(); ++i) {
+        std::vector<uint8_t> expected = records[i];
+        const uint64_t sum = Fnv1a64(records[i].data(), records[i].size());
+        for (size_t b = 0; b < 8; ++b) {
+          expected.push_back(static_cast<uint8_t>(sum >> (8 * b)));
+        }
+        EXPECT_EQ(client->server(s).record(i), expected)
+            << "size=" << size << " server=" << s << " record=" << i;
+      }
+    }
+  }
+
+  // Refusals keep their codes, messages and order: the group count, then
+  // the database (empty, then ragged), then the geometry.
+  SimClock clock;
+  const std::vector<std::vector<uint8_t>> empty;
+  const std::vector<std::vector<uint8_t>> ragged = {{1, 2}, {3}};
+  const std::vector<std::vector<uint8_t>> even = {{1, 2}, {3, 4}};
+  struct Refusal {
+    const std::vector<std::vector<uint8_t>>* records;
+    size_t groups;
+    size_t dimensions;
+    const char* message;
+  };
+  for (const Refusal& r :
+       {Refusal{&ragged, 0, 9, "need at least one server group"},
+        Refusal{&empty, 1, 9, "empty database"},
+        Refusal{&ragged, 1, 9, "records must have equal length"},
+        Refusal{&even, 1, 9, "hypercube dimension must be in [1, 8]"}}) {
+    auto refused = FailoverPirClient::BuildRecursive(
+        *r.records, r.groups, r.dimensions, RetryPolicy{}, &clock, 3);
+    ASSERT_FALSE(refused.ok()) << r.message;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(refused.status().message(), r.message);
+  }
+  // Both forms of XorPirServer::Create refuse alike.
+  auto write_nothing = [](size_t, uint8_t*) {};
+  for (const auto& [refused, message] :
+       {std::pair{XorPirServer::Create(empty), "empty database"},
+        std::pair{XorPirServer::Create({{}, {1}}), "records must be non-empty"},
+        std::pair{XorPirServer::Create(ragged),
+                  "records must have equal length"},
+        std::pair{XorPirServer::Create(0, 8, write_nothing), "empty database"},
+        std::pair{XorPirServer::Create(3, 0, write_nothing),
+                  "records must be non-empty"},
+        std::pair{XorPirServer::Create(SIZE_MAX / 8 + 1, 8, write_nothing),
+                  "database too large"},
+        std::pair{XorPirServer::Create(1, SIZE_MAX, write_nothing),
+                  "database too large"}}) {
+    ASSERT_FALSE(refused.ok()) << message;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(refused.status().message(), message);
   }
 }
 

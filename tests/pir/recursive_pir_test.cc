@@ -236,20 +236,28 @@ uint64_t ReferenceProduct(const std::vector<std::vector<uint8_t>>& axes,
 }
 
 TEST(RecursivePirTest, RowWiseExpansionMatchesPerCellReference) {
-  // Whole innermost rows are ORed in at arbitrary bit offsets; only a last
-  // row overhanging n goes cell by cell. Sides with and without a partial
-  // axis byte, n = side^d (no overhang) and n = side^d - side + 3 (the
-  // last row overhangs), and axes that are random, all-one, all-zero, or
-  // carry stray padding bits the expansion must ignore.
+  // Whole innermost rows are ORed in at arbitrary bit offsets, 64 bits at
+  // a time and then byte by byte; only a last row overhanging n goes cell
+  // by cell. Sides with and without a partial axis byte, rows of one, one
+  // and a bit, and two and a bit words, n = side^d (no overhang) and
+  // n = side^d - side + 3 (the last row overhangs), and axes that are
+  // random, all-one, all-zero, or carry stray padding bits the expansion
+  // must ignore.
   struct Case {
     size_t d, side;
   };
   for (const Case& c : std::initializer_list<Case>{{1, 8},
                                                    {1, 13},
+                                                   {1, 64},
+                                                   {1, 71},
+                                                   {1, 130},
                                                    {2, 8},
                                                    {2, 6},
                                                    {2, 13},
                                                    {2, 16},
+                                                   {2, 64},
+                                                   {2, 71},
+                                                   {2, 130},
                                                    {3, 8},
                                                    {3, 5},
                                                    {3, 9},

@@ -1,12 +1,13 @@
 // ThreadPool contract tests: shard geometry is a pure function of (n,
 // worker count), every index is visited exactly once, the inline pool is a
-// faithful serial reference, and the fork/join barrier publishes all shard
-// writes to the caller.
+// faithful serial reference, the caller runs shard 0 and workers the rest,
+// and the fork/join barrier publishes all shard writes to the caller.
 
 #include "util/thread_pool.h"
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -51,6 +52,26 @@ TEST(ThreadPoolTest, NumShardsDependsOnlyOnSizeAndWorkerCount) {
   EXPECT_EQ(pool.NumShards(3), 3u);
   EXPECT_EQ(pool.NumShards(4), 4u);
   EXPECT_EQ(pool.NumShards(1000), 4u);
+}
+
+TEST(ThreadPoolTest, CallerRunsShardZeroAndWorkersTheRest) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t threads : {2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (size_t n : {2u, 3u, 1000u}) {
+      const size_t shards = pool.NumShards(n);
+      std::vector<std::thread::id> ran_on(shards);
+      pool.ParallelFor(n, [&ran_on](size_t shard, size_t, size_t) {
+        ran_on[shard] = std::this_thread::get_id();
+      });
+      EXPECT_EQ(ran_on[0], caller) << "threads=" << threads << " n=" << n;
+      for (size_t s = 1; s < shards; ++s) {
+        EXPECT_NE(ran_on[s], std::thread::id()) << "shard " << s;
+        EXPECT_NE(ran_on[s], caller)
+            << "threads=" << threads << " n=" << n << " shard " << s;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, BarrierPublishesShardWrites) {

@@ -11,7 +11,8 @@
 #
 # The snapshot is the CI artifact that tracks the write path (epoch flips,
 # incremental vs full recluster, each flip stage alone), the read path
-# (batch PIR at several thread counts), the record-linkage stage of the
+# (batch PIR at several thread counts, and one replica sweep at the
+# tripriv_bench pir_read shape), the record-linkage stage of the
 # census Table 2 (per release, per thread count), and the observability tax
 # from change to change. Context noise that changes per run (dates, load
 # averages) is stripped so diffs between trajectory files show perf
